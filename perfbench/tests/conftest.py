@@ -1,0 +1,12 @@
+"""Make the package under ``src/`` and the benchmark modules importable when
+the benchmark's tests run from the repository root:
+
+    python3 -m pytest perfbench/tests -q
+"""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "perfbench", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
