@@ -20,10 +20,10 @@ from .ports import (PortCoupling, ScatteringResponse, half_power_bandwidth,
                     port_coupling, transfer_functions, two_port_response)
 from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
                      QubitInstance, SystemBasis, assemble_hamiltonian,
-                     coupling_matrix, dispersive_params, dressed_spectrum,
-                     qubit_cavity_coupling, qubit_cavity_coupling_from_field,
-                     receiving_voltage, receiving_voltage_line_integral,
-                     terminal_voltage, two_level_chi_estimate,
+                     coupling_matrix, dipole_center_field, dispersive_params,
+                     dressed_spectrum, qubit_cavity_coupling, receiving_voltage,
+                     receiving_voltage_line_integral, terminal_voltage,
+                     transition_couplings, two_level_chi_estimate,
                      validate_qubit_placement)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,
                        charge_matrix_element_asymptotic, default_charge_cutoff,

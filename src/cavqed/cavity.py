@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
-C0 = constants.c
-EPS0 = constants.epsilon_0
+from .constants import C0, EPS0
 
 #: Walls through which a coax probe may enter: ``bottom`` is y = 0, ``top`` is y = b.
 PROBE_WALLS = ("bottom", "top")

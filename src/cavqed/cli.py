@@ -19,8 +19,7 @@ Subcommands
 Exit codes: 0 success; 2 configuration/input problems; 3 physically degenerate
 or out-of-validity requests; 4 numerical failures.  All outputs are
 deterministic for a given configuration, embed the configuration's sha256,
-and use GHz/MHz/mm/us/fF/nH at the boundary.  ``--threads`` parallelizes
-independent sweep points without changing results or their order.
+and use GHz/MHz/mm/us/fF/nH at the boundary.
 """
 from __future__ import annotations
 
@@ -30,12 +29,11 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .cavity import CavityGeometry, CavityMode, make_mode, mode_list
+from .cavity import CavityGeometry, make_mode, mode_list
 from .config import (apply_overrides, build_dipole, build_geometry, build_probes,
                      config_hash, ff_to_farad, get_setting, ghz_to_rad_per_s,
                      load_config, mm_to_m, nh_to_henry, parse_mode_label,
@@ -50,8 +48,8 @@ from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
 from .perturbation import perturbed_frequency_tip
 from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
 from .system import (QubitInstance, SystemBasis, assemble_hamiltonian,
-                     coupling_matrix, CouplingMatrix, dispersive_params,
-                     dressed_spectrum, qubit_cavity_coupling_from_field,
+                     CouplingMatrix, dipole_center_field, dispersive_params,
+                     dressed_spectrum, transition_couplings,
                      validate_qubit_placement)
 from .transmon import TransmonParams, dipole_capacitance, transmon_spectrum
 
@@ -64,8 +62,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="YAML configuration file")
     parser.add_argument("--out", help="output file path (default: derived from "
                         "output.basename in the configuration)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sweep points (default 1)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="dotted-path configuration override, repeatable "
                         "(e.g. --override dispersive.M=8)")
@@ -103,8 +99,6 @@ def _prepare(args) -> tuple[dict, str]:
     if args.override:
         cfg = apply_overrides(cfg, args.override)
         validate_config(cfg)
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     return cfg, config_hash(cfg)
 
 
@@ -204,6 +198,13 @@ def cmd_hom(args) -> int:
     pkt1 = PhotonWavepacket(omega_in=center, sigma=sigma1, port=1)
     pkt2 = PhotonWavepacket(omega_in=center, sigma=sigma2, port=2)
     grid = default_grid(resp, min(sigma1, sigma2), n_bins=n_bins, center=center)
+    # discrete sums repeat in tau with period 2*pi / (grid spacing)
+    alias_period = 2.0 * math.pi * (n_bins - 1) / (grid.omega_max - grid.omega_min)
+    if 2.0 * tau_max >= alias_period:
+        raise ConfigError(
+            f"hom.n_bins = {n_bins} gives an alias period of "
+            f"{alias_period / 1e-6:.4g} us, not above 2 * hom.tau_max_us = "
+            f"{2.0 * tau_max / 1e-6:.4g} us; raise hom.n_bins or lower hom.tau_max_us")
     taus = np.linspace(-tau_max, tau_max, n_tau)
     curve = hom_curve(resp, pkt1, pkt2, taus, grid, normalization=normalization)
     out = _resolve_out(args, cfg, "_hom.csv")
@@ -255,7 +256,8 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
                 raise ConfigError(
                     f"external mode {rec.mode_label!r} has fields for "
                     f"{rec.n_sites} qubit site(s); configuration has {n_qubits}")
-        return ([(rec.mode_label, ghz_to_rad_per_s(rec.f_GHz), rec.e_fields)
+        return ([(rec.mode_label, ghz_to_rad_per_s(rec.f_GHz),
+                  lambda qubit, q, fields=rec.e_fields: fields[q])
                  for rec in chosen], "external")
     probes = build_probes(cfg)
     entries = []
@@ -263,7 +265,8 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
         mode = make_mode(parse_mode_label(lbl), geom)
         omega_k = (perturbed_frequency_tip(mode, geom, probes).omega_perturbed
                    if probes else mode.omega)
-        entries.append((lbl, omega_k, mode))
+        entries.append((lbl, omega_k, lambda qubit, q, mode=mode:
+                        dipole_center_field(qubit.dipole, mode, geom)))
     return entries, "internal"
 
 
@@ -282,25 +285,11 @@ def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
     return qubit
 
 
-def _couplings(qubits: list[QubitInstance], cavity_entries, geom: CavityGeometry,
-               mode_source: str, n_levels: int) -> CouplingMatrix:
-    if mode_source == "internal":
-        modes = []
-        for lbl, omega_k, mode in cavity_entries:
-            modes.append(dataclasses.replace(mode, omega=omega_k))
-        return coupling_matrix(qubits, modes, geom, n_levels)
-    g = np.zeros((len(cavity_entries), len(qubits), n_levels - 1))
-    for k, (_, omega_k, e_fields) in enumerate(cavity_entries):
-        for q, qubit in enumerate(qubits):
-            for j in range(n_levels - 1):
-                g[k, q, j] = qubit_cavity_coupling_from_field(
-                    qubit, e_fields[q], omega_k, j)
-    return CouplingMatrix(g=g)
-
-
-def _evaluate_point(qubits, cavity_entries, geom, mode_source, m_levels,
-                    chi_qubit, chi_cavity, zeta_pair):
-    couplings = _couplings(qubits, cavity_entries, geom, mode_source, m_levels)
+def _evaluate_point(qubits, cavity_entries, m_levels, chi_qubit, chi_cavity, zeta_pair):
+    couplings = CouplingMatrix(g=[
+        [transition_couplings(qubit, field_at(qubit, q), omega_k)[:m_levels - 1]
+         for q, qubit in enumerate(qubits)]
+        for _, omega_k, field_at in cavity_entries])
     basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(cavity_entries),
                         n_levels=m_levels)
     h = assemble_hamiltonian(qubits, [entry[1] for entry in cavity_entries],
@@ -316,6 +305,46 @@ def _evaluate_point(qubits, cavity_entries, geom, mode_source, m_levels,
         "zeta_MHz": (rad_per_s_to_mhz(res.zeta) if res.zeta is not None else None),
         "flags": [list(lbl) for lbl in res.flags],
     }
+
+
+def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str,
+                  omega_ref: float, m_levels: int) -> list[tuple[list, dict]]:
+    """Inputs of every sweep point: its qubit list and its extra output keys."""
+    if sweep_type == "none":
+        return [(qubits, {})]
+    qi = int(get_setting(cfg, "dispersive.sweep.qubit"))
+    if not 0 <= qi < len(qubits):
+        raise ConfigError(f"sweep qubit index {qi} out of range")
+    swept = []  # (replacement for qubit qi, extra output keys)
+    if sweep_type == "position_grid":
+        n_x = int(get_setting(cfg, "dispersive.sweep.n_x"))
+        n_z = int(get_setting(cfg, "dispersive.sweep.n_z"))
+        margin = mm_to_m(float(get_setting(cfg, "dispersive.sweep.margin_mm")))
+        if not 0 < margin < min(geom.a, geom.d) / 2:
+            raise ConfigError("sweep margin must lie inside the quarter cavity")
+        for x in np.linspace(margin, geom.a / 2.0, n_x).tolist():
+            for z in np.linspace(margin, geom.d / 2.0, n_z).tolist():
+                moved = dataclasses.replace(
+                    qubits[qi],
+                    dipole=dataclasses.replace(qubits[qi].dipole,
+                                               center=(x, geom.b / 2.0, z)))
+                validate_qubit_placement(moved, geom)
+                swept.append((moved, {"x_mm": x / 1e-3, "z_mm": z / 1e-3}))
+    elif sweep_type == "L_J":
+        sweep_cfg = cfg.get("dispersive", {}).get("sweep", {})
+        try:
+            start = float(sweep_cfg["start_nH"])
+            stop = float(sweep_cfg["stop_nH"])
+            n_points = int(sweep_cfg["n_points"])
+        except KeyError as exc:
+            raise ConfigError(f"L_J sweep needs {exc.args[0]!r}") from exc
+        for l_nh in np.linspace(start, stop, n_points).tolist():
+            qubit_cfg = dict(cfg["qubits"][qi], L_J_nH=l_nh)
+            swept.append((_build_qubit(qubit_cfg, geom, omega_ref, m_levels),
+                          {"L_J_nH": l_nh}))
+    else:  # pragma: no cover - schema forbids other values
+        raise ConfigError(f"unknown sweep type {sweep_type!r}")
+    return [(qubits[:qi] + [qubit] + qubits[qi + 1:], extra) for qubit, extra in swept]
 
 
 def cmd_dispersive(args) -> int:
@@ -338,6 +367,14 @@ def cmd_dispersive(args) -> int:
     qubits = [_build_qubit(qc, geom, omega_ref, m_levels) for qc in qubit_cfgs]
 
     sweep_type = str(get_setting(cfg, "dispersive.sweep.type"))
+    if sweep_type == "position_grid" and mode_source == "external":
+        raise ConfigError("position_grid sweeps need analytic modes "
+                          "(external fields are fixed per site)")
+    point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, omega_ref, m_levels)
+    points = []
+    for qubit_list, extra in point_inputs:
+        points.append({**_evaluate_point(qubit_list, cavity_entries, m_levels,
+                                         chi_qubit, chi_cavity, zeta_pair), **extra})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": sha,
@@ -347,81 +384,17 @@ def cmd_dispersive(args) -> int:
         "M": m_levels,
         "sweep_type": sweep_type,
         "qubit_c_ant_fF": [q.c_ant / 1e-15 for q in qubits],
+        "points": points,
     }
-
-    def point_for(qubit_list):
-        return _evaluate_point(qubit_list, cavity_entries, geom, mode_source,
-                               m_levels, chi_qubit, chi_cavity, zeta_pair)
-
-    if sweep_type == "none":
-        payload["points"] = [point_for(qubits)]
-    elif sweep_type == "position_grid":
-        if mode_source == "external":
-            raise ConfigError("position_grid sweeps need analytic modes "
-                              "(external fields are fixed per site)")
-        qi = int(get_setting(cfg, "dispersive.sweep.qubit"))
-        if not 0 <= qi < len(qubits):
-            raise ConfigError(f"sweep qubit index {qi} out of range")
-        n_x = int(get_setting(cfg, "dispersive.sweep.n_x"))
-        n_z = int(get_setting(cfg, "dispersive.sweep.n_z"))
-        margin = mm_to_m(float(get_setting(cfg, "dispersive.sweep.margin_mm")))
-        if not 0 < margin < min(geom.a, geom.d) / 2:
-            raise ConfigError("sweep margin must lie inside the quarter cavity")
-        xs = np.linspace(margin, geom.a / 2.0, n_x)
-        zs = np.linspace(margin, geom.d / 2.0, n_z)
-        positions = [(float(x), float(z)) for x in xs for z in zs]
-
-        def eval_position(pos):
-            x, z = pos
-            moved = dataclasses.replace(
-                qubits[qi],
-                dipole=dataclasses.replace(qubits[qi].dipole,
-                                           center=(x, geom.b / 2.0, z)))
-            validate_qubit_placement(moved, geom)
-            staffed = list(qubits)
-            staffed[qi] = moved
-            entry = point_for(staffed)
-            entry.update({"x_mm": x / 1e-3, "z_mm": z / 1e-3})
-            return entry
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            points = list(pool.map(eval_position, positions))
-        payload["points"] = points
+    if sweep_type != "none":
+        payload["n_flagged_points"] = sum(1 for p in points if p["flags"])
+    if sweep_type == "position_grid":
         clean = [p["chi_MHz"] for p in points if not p["flags"]]
         payload["average_chi_MHz"] = (sum(clean) / len(clean)) if clean else None
-        payload["n_flagged_points"] = sum(1 for p in points if p["flags"])
-    elif sweep_type == "L_J":
-        qi = int(get_setting(cfg, "dispersive.sweep.qubit"))
-        if not 0 <= qi < len(qubits):
-            raise ConfigError(f"sweep qubit index {qi} out of range")
-        sweep_cfg = cfg.get("dispersive", {}).get("sweep", {})
-        try:
-            start = float(sweep_cfg["start_nH"])
-            stop = float(sweep_cfg["stop_nH"])
-            n_points = int(sweep_cfg["n_points"])
-        except KeyError as exc:
-            raise ConfigError(f"L_J sweep needs {exc.args[0]!r}") from exc
-        l_values = np.linspace(start, stop, n_points)
-
-        def eval_inductance(l_nh):
-            qubit_cfg = dict(qubit_cfgs[qi])
-            qubit_cfg["L_J_nH"] = float(l_nh)
-            retuned = list(qubits)
-            retuned[qi] = _build_qubit(qubit_cfg, geom, omega_ref, m_levels)
-            entry = point_for(retuned)
-            entry.update({"L_J_nH": float(l_nh)})
-            return entry
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            points = list(pool.map(eval_inductance, l_values))
-        payload["points"] = points
-        payload["n_flagged_points"] = sum(1 for p in points if p["flags"])
-    else:  # pragma: no cover - schema forbids other values
-        raise ConfigError(f"unknown sweep type {sweep_type!r}")
 
     out = _resolve_out(args, cfg, "_dispersive.json")
     _write_json(out, payload)
-    print(f"wrote {len(payload['points'])} point(s) to {out}")
+    print(f"wrote {len(points)} point(s) to {out}")
     return 0
 
 

@@ -15,6 +15,7 @@ reproduces it exactly (17-significant-digit round-trip).
 from __future__ import annotations
 
 import csv
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -96,17 +97,22 @@ def _parse_header(header: list[str], path: str) -> tuple[dict, list[tuple[int, i
 
 def _parse_float(row: list[str], index: int, name: str, line_no: int, path: str) -> float:
     try:
-        return float(row[index])
+        value = float(row[index])
     except (ValueError, IndexError) as exc:
-        value = row[index] if index < len(row) else "<missing>"
+        text = row[index] if index < len(row) else "<missing>"
         raise ExternalModesError(
-            f"{path}, line {line_no}: field {name!r}: cannot parse {value!r} "
+            f"{path}, line {line_no}: field {name!r}: cannot parse {text!r} "
             "as a number") from exc
+    if not math.isfinite(value):
+        raise ExternalModesError(
+            f"{path}, line {line_no}: field {name!r}: non-finite value {row[index]!r}")
+    return value
 
 
 def read_external_modes(path: str) -> list[ExternalModeRecord]:
     """Parse a mode CSV; raise :class:`ExternalModesError` with the offending
-    line and field on any structural or numeric problem."""
+    line and field on any structural or numeric problem, including a
+    non-finite number (nan, inf)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
                 if row and not row[0].lstrip().startswith("#")]

@@ -28,10 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .cavity import CavityGeometry, CavityMode, eval_fields
+from .constants import E_CHARGE, EPS0, HBAR
 from .errors import DispersiveInvalidError, FieldVariationWarning
-from .transmon import E_CHARGE, HBAR, DipoleSpec, TransmonSpectrum
-
-EPS0 = 8.854_187_8128e-12  # vacuum permittivity, F/m
+from .transmon import DipoleSpec, TransmonSpectrum
 
 #: Relative spread of the axial field over the dipole that triggers
 #: :class:`FieldVariationWarning` for the point-sample receiving voltage.
@@ -126,13 +125,14 @@ class CouplingMatrix:
         object.__setattr__(self, "g", arr)
 
 
-def receiving_voltage(dipole: DipoleSpec, mode: CavityMode, geom: CavityGeometry) -> float:
-    """Point-dipole receiving voltage (1/2) * l * (l_hat . E(center)) for the
-    unit-normalized mode field.
+def dipole_center_field(dipole: DipoleSpec, mode: CavityMode,
+                        geom: CavityGeometry) -> np.ndarray:
+    """Unit-normalized E vector of the mode at the dipole center.
 
     Samples the axial field at five points along the wire and warns with
     :class:`FieldVariationWarning` when it varies by more than 5% (the
-    point-sample value then misrepresents the triangular-current average).
+    point-sample receiving voltage then misrepresents the triangular-current
+    average).
     """
     axis = np.asarray(dipole.orientation)
     center = np.asarray(dipole.center)
@@ -149,7 +149,18 @@ def receiving_voltage(dipole: DipoleSpec, mode: CavityMode, geom: CavityGeometry
             "point-sample receiving voltage is inaccurate "
             "(compare receiving_voltage_line_integral)", FieldVariationWarning,
             stacklevel=2)
-    return 0.5 * dipole.length * center_val
+    return e_field[2]
+
+
+def _point_voltage(dipole: DipoleSpec, e_center) -> float:
+    return 0.5 * dipole.length * float(np.asarray(e_center, dtype=float)
+                                       @ np.asarray(dipole.orientation))
+
+
+def receiving_voltage(dipole: DipoleSpec, mode: CavityMode, geom: CavityGeometry) -> float:
+    """Point-dipole receiving voltage (1/2) * l * (l_hat . E(center)) for the
+    unit-normalized mode field (see :func:`dipole_center_field`)."""
+    return _point_voltage(dipole, dipole_center_field(dipole, mode, geom))
 
 
 def receiving_voltage_line_integral(dipole: DipoleSpec, mode: CavityMode,
@@ -180,30 +191,23 @@ def terminal_voltage(v_rx: float, c_ant: float, c_load: float) -> float:
     return c_ant / (c_ant + c_load) * v_rx
 
 
-def _coupling_from_terminal_voltage(qubit: QubitInstance, omega_k: float,
-                                    j: int, v_t: float) -> float:
-    if not 0 <= j < len(qubit.spectrum.charge_elements):
-        raise ValueError(f"transition index {j} outside available levels")
-    element = abs(qubit.spectrum.charge_elements[j])
+def transition_couplings(qubit: QubitInstance, e_center, omega_k: float) -> np.ndarray:
+    """Coupling rates g[j] (rad/s) of every qubit transition j -> j+1 to a mode
+    of angular frequency ``omega_k`` whose unit-normalized E vector at the
+    dipole center is ``e_center`` (analytic or externally computed):
+    2e * |<j|n|j+1>| * sqrt(omega_k/(2*eps0*hbar)) * V_t."""
+    element = np.abs(qubit.spectrum.charge_elements)
+    v_t = qubit.divider * _point_voltage(qubit.dipole, e_center)
     return 2.0 * E_CHARGE * element * math.sqrt(omega_k / (2.0 * EPS0 * HBAR)) * v_t
 
 
 def qubit_cavity_coupling(qubit: QubitInstance, mode: CavityMode,
                           geom: CavityGeometry, j: int) -> float:
-    """Coupling rate g (rad/s) of qubit transition j -> j+1 to the mode:
-    2e * |<j|n|j+1>| * sqrt(omega_k/(2*eps0*hbar)) * V_t."""
-    v_rx = receiving_voltage(qubit.dipole, mode, geom)
-    return _coupling_from_terminal_voltage(qubit, mode.omega, j, qubit.divider * v_rx)
-
-
-def qubit_cavity_coupling_from_field(qubit: QubitInstance, e_field,
-                                     omega_k: float, j: int) -> float:
-    """Same coupling rate when the mode's E vector at the dipole center is
-    supplied directly (externally computed modes); unit-normalized field,
-    omega_k in rad/s."""
-    axis = np.asarray(qubit.dipole.orientation)
-    v_rx = 0.5 * qubit.dipole.length * float(np.asarray(e_field, dtype=float) @ axis)
-    return _coupling_from_terminal_voltage(qubit, omega_k, j, qubit.divider * v_rx)
+    """Coupling rate g (rad/s) of qubit transition j -> j+1 to the mode."""
+    if not 0 <= j < len(qubit.spectrum.charge_elements):
+        raise ValueError(f"transition index {j} outside available levels")
+    e_center = dipole_center_field(qubit.dipole, mode, geom)
+    return float(transition_couplings(qubit, e_center, mode.omega)[j])
 
 
 def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode],
@@ -211,14 +215,14 @@ def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode]
     """All g[k, q, j] for j = 0..n_levels-2; requires each qubit spectrum to
     provide n_levels-1 charge elements."""
     g = np.zeros((len(modes), len(qubits), n_levels - 1))
-    for k, mode in enumerate(modes):
-        for q, qubit in enumerate(qubits):
-            if len(qubit.spectrum.charge_elements) < n_levels - 1:
-                raise ValueError(
-                    f"qubit {q} spectrum has {len(qubit.spectrum.charge_elements)} "
-                    f"charge elements; need {n_levels - 1}")
-            for j in range(n_levels - 1):
-                g[k, q, j] = qubit_cavity_coupling(qubit, mode, geom, j)
+    for q, qubit in enumerate(qubits):
+        if len(qubit.spectrum.charge_elements) < n_levels - 1:
+            raise ValueError(
+                f"qubit {q} spectrum has {len(qubit.spectrum.charge_elements)} "
+                f"charge elements; need {n_levels - 1}")
+        for k, mode in enumerate(modes):
+            e_center = dipole_center_field(qubit.dipole, mode, geom)
+            g[k, q] = transition_couplings(qubit, e_center, mode.omega)[:n_levels - 1]
     return CouplingMatrix(g=g)
 
 

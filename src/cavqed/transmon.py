@@ -18,13 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from .constants import C0, E_CHARGE, HBAR
 from .errors import ConvergenceError, OutOfValidityError, TransmonRegimeWarning
-
-C0 = 299_792_458.0  # vacuum speed of light, m/s
-E_CHARGE = 1.602_176_634e-19  # elementary charge, C
-HBAR = 1.054_571_817e-34  # reduced Planck constant, J*s
 
 #: E_J/E_C below this triggers :class:`TransmonRegimeWarning` (charge dispersion
 #: is no longer negligible).
@@ -154,15 +150,15 @@ def _solve_charge_basis(params: TransmonParams, n_levels: int, n_charge: int):
     """Lowest ``n_levels`` eigenpairs of diag(4*E_C*n^2) - (E_J/2) on the
     off-diagonals, n = -n_charge..n_charge."""
     n = np.arange(-n_charge, n_charge + 1, dtype=float)
-    diagonal = 4.0 * params.E_C * n**2
     off_diagonal = np.full(2 * n_charge, -params.E_J / 2.0)
-    energies, vectors = eigh_tridiagonal(
-        diagonal, off_diagonal, select="i", select_range=(0, n_levels - 1))
+    hamiltonian = (np.diag(4.0 * params.E_C * n**2)
+                   + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+    energies, vectors = np.linalg.eigh(hamiltonian)
     elements = np.array([
         float(np.abs(vectors[:, j] @ (n * vectors[:, j + 1])))
         for j in range(n_levels - 1)
     ])
-    return energies, elements
+    return energies[:n_levels], elements
 
 
 def transmon_spectrum(params: TransmonParams, n_levels: int = 4,

@@ -109,8 +109,7 @@ def test_criterion_03_single_qubit_parameters():
 def test_criterion_04_chi_map_average(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "chi_map.json"
-    rc = cli.main(["dispersive", "--config", CHI_MAP, "--out", str(out),
-                   "--threads", "4"])
+    rc = cli.main(["dispersive", "--config", CHI_MAP, "--out", str(out)])
     elapsed = time.perf_counter() - start
     assert rc == 0
     payload = json.loads(out.read_text())
@@ -272,8 +271,7 @@ def bisect_zeta_gap(tmp_path, lo, hi, zeta_lo):
 def test_criterion_10_zz_sweep(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "zz.json"
-    rc = cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out),
-                   "--threads", "4"])
+    rc = cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out)])
     elapsed = time.perf_counter() - start
     assert rc == 0
     payload = json.loads(out.read_text())

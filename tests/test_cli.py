@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy.testing as npt
@@ -8,7 +11,12 @@ import yaml
 
 import cavqed as cq
 import cavqed.cli as cli
+from cavqed.cavity import eval_fields, make_mode
+from cavqed.config import (build_dipole, build_geometry, build_probes,
+                           parse_mode_label, rad_per_s_to_ghz)
 from cavqed.errors import ConvergenceError
+from cavqed.perturbation import perturbed_frequency_tip
+from cavqed.ports import port_coupling
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TABLE1 = str(CONFIGS / "table1_single_qubit.yaml")
@@ -122,6 +130,15 @@ class TestHom:
             npt.assert_allclose(float(external_g2), float(internal_g2),
                                 rtol=1e-9)
 
+    def test_alias_period_shorter_than_delay_span(self, tmp_path, capsys):
+        # 256 bins repeat every 3.2 us, inside the +-25 us delay window
+        rc = cli.main(["hom", "--config", HOM, "--out", str(tmp_path / "h.csv"),
+                       "--override", "hom.n_bins=256"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "hom.n_bins" in err and "hom.tau_max_us" in err
+        assert not (tmp_path / "h.csv").exists()
+
     def test_missing_label_in_external_file(self, tmp_path):
         modes_csv = tmp_path / "ext.csv"
         record = cq.ExternalModeRecord(mode_label="TE102", f_GHz=9.96,
@@ -170,19 +187,14 @@ class TestDispersive:
         f_fem = payload["points"][0]["omega01_GHz"]
         assert f_fem > f_base
 
-    def test_position_grid_thread_determinism(self, tmp_path):
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"grid{threads}.json"
-            rc = cli.main(["dispersive", "--config", CHI_MAP, "--out", str(out),
-                           "--threads", threads,
-                           "--override", "dispersive.sweep.n_x=3",
-                           "--override", "dispersive.sweep.n_z=3",
-                           "--override", "dispersive.M=3"])
-            assert rc == 0
-            outputs.append(json.loads(out.read_text()))
-        assert outputs[0] == outputs[1]
-        payload = outputs[0]
+    def test_position_grid(self, tmp_path):
+        out = tmp_path / "grid.json"
+        rc = cli.main(["dispersive", "--config", CHI_MAP, "--out", str(out),
+                       "--override", "dispersive.sweep.n_x=3",
+                       "--override", "dispersive.sweep.n_z=3",
+                       "--override", "dispersive.M=3"])
+        assert rc == 0
+        payload = json.loads(out.read_text())
         assert len(payload["points"]) == 9
         assert payload["n_flagged_points"] == 0
         assert payload["average_chi_MHz"] < 0.0
@@ -201,6 +213,48 @@ class TestDispersive:
         # the swept qubit stiffens as L_J drops, so omega01 must rise
         assert points[-1]["omega01_GHz"] > points[0]["omega01_GHz"]
         assert all(p["zeta_MHz"] is not None for p in points)
+
+    def test_external_modes_match_analytic(self, tmp_path):
+        # the external CSV carries what a field solver would supply: the
+        # analytic fields at the dipole centers, the probe-shifted
+        # frequencies and the port couplings
+        cfg = yaml.safe_load(Path(ZZ_SWEEP).read_text())
+        geom = build_geometry(cfg)
+        probes = build_probes(cfg)
+        centers = [build_dipole(qc).center for qc in cfg["qubits"]]
+        records = []
+        for label in cfg["dispersive"]["cavity_modes"]:
+            mode = make_mode(parse_mode_label(label), geom)
+            e_fields, _ = eval_fields(mode, geom, centers)
+            records.append(cq.ExternalModeRecord(
+                mode_label=label,
+                f_GHz=rad_per_s_to_ghz(
+                    perturbed_frequency_tip(mode, geom, probes).omega_perturbed),
+                e_fields=tuple(tuple(vec) for vec in e_fields.tolist()),
+                g_port1=port_coupling(mode, geom, probes[0]).g,
+                g_port2=port_coupling(mode, geom, probes[1]).g))
+        modes_csv = tmp_path / "zz_modes.csv"
+        cq.write_external_modes(str(modes_csv), records)
+        payloads = []
+        for name, extra in (("analytic", []),
+                            ("external", ["--override", f"external_modes={modes_csv}"])):
+            out = tmp_path / f"{name}.json"
+            rc = cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out),
+                           "--override", "dispersive.sweep.n_points=7",
+                           "--override", "dispersive.M=3", *extra])
+            assert rc == 0
+            payloads.append(json.loads(out.read_text()))
+        analytic, external = payloads
+        assert (analytic["mode_source"], external["mode_source"]) == ("internal",
+                                                                      "external")
+        assert len(external["points"]) == 7
+        for key in ("omega01_GHz", "omega_k_GHz", "alpha_MHz", "chi_MHz",
+                    "zeta_MHz"):
+            reference = [p[key] for p in analytic["points"]]
+            values = [p[key] for p in external["points"]]
+            scale = max(abs(v) for v in reference)
+            npt.assert_allclose(values, reference, rtol=0, atol=1e-9 * scale,
+                                err_msg=key)
 
     def test_position_grid_needs_analytic_modes(self, tmp_path, capsys):
         modes_csv = tmp_path / "ext.csv"
@@ -273,6 +327,17 @@ class TestIngestCheck:
         assert rc == 2
         assert "2 qubits" in capsys.readouterr().err
 
+    def test_non_finite_value_rejected(self, tmp_path, capsys):
+        modes_csv = tmp_path / "ext.csv"
+        modes_csv.write_text("mode_label,f_GHz,Ex,Ey,Ez,g_port1,g_port2\n"
+                             "TE101,7.55,0,nan,0,1000,inf\n")
+        rc = cli.main(["ingest-check",
+                       "--config", self.make_config(tmp_path, modes_csv)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "'Ey1'" in captured.err and "non-finite" in captured.err
+        assert "OK" not in captured.out
+
     def test_requires_external_entry(self, capsys):
         rc = cli.main(["ingest-check", "--config", TABLE1])
         assert rc == 2
@@ -289,11 +354,6 @@ class TestExitCodes:
         rc = cli.main(["modes", "--config", TABLE1,
                        "--out", str(tmp_path / "m.csv"),
                        "--override", "geometry.a_mm"])
-        assert rc == 2
-
-    def test_bad_thread_count(self, tmp_path):
-        rc = cli.main(["modes", "--config", TABLE1,
-                       "--out", str(tmp_path / "m.csv"), "--threads", "0"])
         assert rc == 2
 
     def test_degenerate_response(self, tmp_path, capsys):
@@ -324,3 +384,15 @@ class TestExitCodes:
                        "--out", str(tmp_path / "d.json")])
         assert rc == 4
         assert "error (numerical)" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, cavqed.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    # import the same cavqed the suite tests, in a fresh interpreter
+    package_parent = str(Path(cq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_parent}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"

@@ -126,6 +126,14 @@ class TestRead:
         with pytest.raises(ExternalModesError, match=r"line 3.*f_GHz"):
             cq.read_external_modes(path)
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = self.write(tmp_path,
+                          "mode_label,f_GHz,Ex,Ey,Ez,g_port1,g_port2\n"
+                          "TE101,7.55,0,nan,0,1000,inf\n")
+        with pytest.raises(ExternalModesError,
+                           match=r"line 2: field 'Ey1': non-finite value 'nan'"):
+            cq.read_external_modes(path)
+
     def test_short_row_diagnostic(self, tmp_path):
         path = self.write(tmp_path,
                           "mode_label,f_GHz,Ex,Ey,Ez,g_port1,g_port2\n"

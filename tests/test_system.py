@@ -78,8 +78,7 @@ class TestCouplingRates:
         qubit = reference_system["qubit"]
         mode = reference_system["modes"][0]
         e_field, _ = cq.eval_fields(mode, geom, qubit.dipole.center)
-        g_field = cq.qubit_cavity_coupling_from_field(qubit, e_field,
-                                                      mode.omega, j=0)
+        g_field = cq.transition_couplings(qubit, e_field, mode.omega)[0]
         g_direct = cq.qubit_cavity_coupling(qubit, mode, geom, j=0)
         npt.assert_allclose(g_field, g_direct, rtol=1e-12)
 
