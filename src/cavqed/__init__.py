@@ -22,9 +22,9 @@ from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
                      QubitInstance, SystemBasis, assemble_hamiltonian,
                      coupling_matrix, dipole_center_field, dispersive_params,
                      dressed_spectrum, qubit_cavity_coupling, receiving_voltage,
-                     receiving_voltage_line_integral, terminal_voltage,
-                     transition_couplings, two_level_chi_estimate,
-                     validate_qubit_placement)
+                     receiving_voltage_line_integral, sector_spectrum,
+                     terminal_voltage, transition_couplings,
+                     two_level_chi_estimate, validate_qubit_placement)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,
                        charge_matrix_element_asymptotic, default_charge_cutoff,
                        dipole_capacitance, level_asymptotic, transmon_spectrum)

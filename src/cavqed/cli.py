@@ -47,10 +47,9 @@ from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
                   hom_curve, scan_balanced_center)
 from .perturbation import perturbed_frequency_tip
 from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
-from .system import (QubitInstance, SystemBasis, assemble_hamiltonian,
-                     CouplingMatrix, dipole_center_field, dispersive_params,
-                     dressed_spectrum, transition_couplings,
-                     validate_qubit_placement)
+from .system import (QubitInstance, SystemBasis, CouplingMatrix,
+                     dipole_center_field, dispersive_params, sector_spectrum,
+                     transition_couplings, validate_qubit_placement)
 from .transmon import TransmonParams, dipole_capacitance, transmon_spectrum
 
 
@@ -292,9 +291,8 @@ def _evaluate_point(qubits, cavity_entries, m_levels, chi_qubit, chi_cavity, zet
         for _, omega_k, field_at in cavity_entries])
     basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(cavity_entries),
                         n_levels=m_levels)
-    h = assemble_hamiltonian(qubits, [entry[1] for entry in cavity_entries],
-                             couplings, basis)
-    dressed = dressed_spectrum(h, basis)
+    dressed = sector_spectrum(qubits, [entry[1] for entry in cavity_entries],
+                              couplings, basis)
     res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,
                             qubit_pair=zeta_pair, strict=False)
     return {
@@ -304,6 +302,7 @@ def _evaluate_point(qubits, cavity_entries, m_levels, chi_qubit, chi_cavity, zet
         "chi_MHz": rad_per_s_to_mhz(res.chi),
         "zeta_MHz": (rad_per_s_to_mhz(res.zeta) if res.zeta is not None else None),
         "flags": [list(lbl) for lbl in res.flags],
+        "min_label_overlap": res.min_label_overlap,
     }
 
 

@@ -17,6 +17,15 @@ local dimension; labels are tuples (q_0, ..., q_{nq-1}, c_0, ..., c_{nc-1}).
 Dressed states are labeled by greedy maximum-overlap assignment and flagged
 when the winning overlap is not above 1/2 (hybridization too strong for the
 label to mean anything).
+
+Every coupling term g |j><j+1| a^dag + h.c. conserves the total excitation
+number N (sum of all occupations), so the Hamiltonian is block diagonal in N.
+The dispersive energies live in the sectors N <= 2, whose labels are the
+occupation tuples of total <= 2 with every entry below the local dimension:
+1 + S + S(S+1)/2 states for S = qubits + modes once n_levels >= 3, whatever
+n_levels is.  :func:`sector_spectrum` builds and diagonalizes only those
+blocks; :func:`assemble_hamiltonian` + :func:`dressed_spectrum` solve the
+whole product space and are the dense reference.
 """
 from __future__ import annotations
 
@@ -36,8 +45,10 @@ from .transmon import DipoleSpec, TransmonSpectrum
 #: :class:`FieldVariationWarning` for the point-sample receiving voltage.
 FIELD_VARIATION_TOLERANCE = 0.05
 
-#: A dressed label is flagged when its best overlap is <= threshold + this slack
-#: (catches exact 50/50 hybridization despite roundoff).
+#: A dressed label is flagged when its best overlap is <= FLAG_THRESHOLD +
+#: FLAG_BOUNDARY_SLACK (the slack catches exact 50/50 hybridization despite
+#: roundoff).
+FLAG_THRESHOLD = 0.5
 FLAG_BOUNDARY_SLACK = 1e-9
 
 
@@ -234,6 +245,24 @@ def _embed(op: np.ndarray, site: int, n_sites: int, n_levels: int) -> np.ndarray
     return result
 
 
+def _checked_spectra(qubits: Sequence[QubitInstance | TransmonSpectrum],
+                     cavity_omegas: Sequence[float], couplings: CouplingMatrix,
+                     basis: SystemBasis) -> list[TransmonSpectrum]:
+    """The qubit spectra, after checking that the inputs match the basis."""
+    n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
+    if len(qubits) != n_q or len(cavity_omegas) != n_c:
+        raise ValueError("qubit/cavity counts must match the basis")
+    if couplings.g.shape != (n_c, n_q, m - 1):
+        raise ValueError(f"couplings shape {couplings.g.shape} does not match "
+                         f"basis ({n_c}, {n_q}, {m - 1})")
+    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
+    for q, spec in enumerate(spectra):
+        if len(spec.levels) < m:
+            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
+                             f"basis needs {m}")
+    return spectra
+
+
 def assemble_hamiltonian(qubits: Sequence[QubitInstance | TransmonSpectrum],
                          cavity_omegas: Sequence[float],
                          couplings: CouplingMatrix,
@@ -246,16 +275,7 @@ def assemble_hamiltonian(qubits: Sequence[QubitInstance | TransmonSpectrum],
     sum_j g[k,q,j] * (|j><j+1| a_k^dag + h.c.).
     """
     n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
-    if len(qubits) != n_q or len(cavity_omegas) != n_c:
-        raise ValueError("qubit/cavity counts must match the basis")
-    if couplings.g.shape != (n_c, n_q, m - 1):
-        raise ValueError(f"couplings shape {couplings.g.shape} does not match "
-                         f"basis ({n_c}, {n_q}, {m - 1})")
-    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
-    for q, spec in enumerate(spectra):
-        if len(spec.levels) < m:
-            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
-                             f"basis needs {m}")
+    spectra = _checked_spectra(qubits, cavity_omegas, couplings, basis)
     h = np.zeros((basis.dim, basis.dim))
     lower_cav = np.diag(np.sqrt(np.arange(1, m)), 1)  # annihilation operator a
     number_cav = lower_cav.T @ lower_cav
@@ -275,19 +295,24 @@ def assemble_hamiltonian(qubits: Sequence[QubitInstance | TransmonSpectrum],
 
 @dataclass(frozen=True, eq=False)
 class DressedSpectrum:
-    """Eigenvalues labeled by bare product states via greedy maximum overlap."""
+    """Eigenvalues labeled by bare product states via greedy maximum overlap.
+
+    ``eigen_index`` and ``overlaps`` hold the solved labels in basis order:
+    every basis label for :func:`dressed_spectrum`, the labels of the sectors
+    N <= 2 for :func:`sector_spectrum`."""
 
     basis: SystemBasis
     energies: np.ndarray
     eigen_index: dict = field(repr=False)
     overlaps: dict = field(repr=False)
-    flag_threshold: float
 
     def _key(self, label: Sequence[int]) -> tuple[int, ...]:
         key = tuple(int(x) for x in label)
         if key not in self.eigen_index:
-            raise ValueError(f"label {key} is not a state of the "
-                             f"{self.basis.n_sites}-site basis")
+            self.basis.index_of(key)  # raises for a label outside the basis
+            raise ValueError(
+                f"label {key} has excitation number {sum(key)}; this spectrum "
+                f"holds only the sectors N <= {max(map(sum, self.eigen_index))}")
         return key
 
     def energy(self, label: Sequence[int]) -> float:
@@ -299,28 +324,23 @@ class DressedSpectrum:
         return float(self.overlaps[self._key(label)])
 
     def is_flagged(self, label: Sequence[int]) -> bool:
-        return self.overlap(label) <= self.flag_threshold + FLAG_BOUNDARY_SLACK
+        return self.overlap(label) <= FLAG_THRESHOLD + FLAG_BOUNDARY_SLACK
 
     def flagged(self) -> tuple[tuple[int, ...], ...]:
         """Labels whose identification is unreliable, in basis order."""
-        return tuple(lbl for lbl in self.basis.labels() if self.is_flagged(lbl))
+        return tuple(lbl for lbl in self.eigen_index if self.is_flagged(lbl))
 
 
-def dressed_spectrum(hamiltonian: np.ndarray, basis: SystemBasis,
-                     flag_threshold: float = 0.5) -> DressedSpectrum:
-    """Diagonalize and label.
+def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
+    """Eigenvector index assigned to each bare state of ``overlap2``
+    [bare index, eigen index] (squared overlaps of a square block).
 
-    Greedy assignment: visit all (bare state, eigenvector) pairs in order of
-    decreasing squared overlap (ties broken by bare-then-eigen index for
-    determinism) and accept a pair when both members are still unassigned.
-    Every label gets exactly one eigenvector; quality is recorded per label and
-    exposed through ``is_flagged``/``flagged``.
+    Visits all (bare state, eigenvector) pairs in order of decreasing squared
+    overlap (ties broken by bare-then-eigen index for determinism) and accepts
+    a pair when both members are still unassigned, so every bare state gets
+    exactly one eigenvector.
     """
-    if hamiltonian.shape != (basis.dim, basis.dim):
-        raise ValueError("hamiltonian dimension does not match the basis")
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    overlap2 = np.abs(vectors)**2  # [bare index, eigen index]
-    dim = basis.dim
+    dim = overlap2.shape[0]
     order = np.argsort(-overlap2, axis=None, kind="stable")
     bare_assigned = np.full(dim, -1, dtype=int)
     eigen_taken = np.zeros(dim, dtype=bool)
@@ -334,6 +354,18 @@ def dressed_spectrum(hamiltonian: np.ndarray, basis: SystemBasis,
         remaining -= 1
         if remaining == 0:
             break
+    return bare_assigned
+
+
+def dressed_spectrum(hamiltonian: np.ndarray, basis: SystemBasis) -> DressedSpectrum:
+    """Diagonalize the whole product space and label every basis state by
+    greedy maximum overlap (:func:`_greedy_assign`); quality is recorded per
+    label and exposed through ``is_flagged``/``flagged``."""
+    if hamiltonian.shape != (basis.dim, basis.dim):
+        raise ValueError("hamiltonian dimension does not match the basis")
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    overlap2 = np.abs(vectors)**2  # [bare index, eigen index]
+    bare_assigned = _greedy_assign(overlap2)
     eigen_index = {}
     overlaps = {}
     for i, label in enumerate(basis.labels()):
@@ -341,14 +373,71 @@ def dressed_spectrum(hamiltonian: np.ndarray, basis: SystemBasis,
         eigen_index[tuple(label)] = eig
         overlaps[tuple(label)] = float(overlap2[i, eig])
     return DressedSpectrum(basis=basis, energies=energies, eigen_index=eigen_index,
-                           overlaps=overlaps, flag_threshold=flag_threshold)
+                           overlaps=overlaps)
+
+
+def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
+                    cavity_omegas: Sequence[float],
+                    couplings: CouplingMatrix,
+                    basis: SystemBasis) -> DressedSpectrum:
+    """Dressed spectrum of the excitation-number sectors N <= 2 only, the
+    sectors of every state :func:`dispersive_params` reads.
+
+    Uses the terms of :func:`assemble_hamiltonian` on the labels of total
+    occupation <= 2: the diagonal is the ground-referenced qubit levels plus
+    sum_k omega_k n_k, and g[k,q,j] * sqrt(n_k + 1) couples (q = j+1, n_k)
+    with (q = j, n_k + 1).  Each sector's block is diagonalized on its own and
+    labeled by the same greedy rule as :func:`dressed_spectrum`, so an
+    eigenvector never mixes sectors.  ``energies`` holds each sector's
+    eigenvalues in the slots of its labels; asking for a label of N > 2
+    raises ValueError.
+    """
+    n_q, m = basis.n_qubits, basis.n_levels
+    spectra = _checked_spectra(qubits, cavity_omegas, couplings, basis)
+    eye = np.eye(basis.n_sites, dtype=int)
+    first, second = np.triu_indices(basis.n_sites)
+    occ = np.vstack([np.zeros_like(eye[:1]), eye, eye[first] + eye[second]])
+    occ = occ[occ.max(axis=1) < m]
+    occ = occ[np.lexsort(occ.T[::-1])]  # basis order: lexicographic
+    labels = list(map(tuple, occ.tolist()))
+    position = {label: i for i, label in enumerate(labels)}
+    diag = np.zeros(len(occ))
+    for q, spec in enumerate(spectra):
+        local = np.asarray(spec.levels[:m], dtype=float) - spec.levels[0]
+        diag = diag + local[occ[:, q]]
+    for k, omega_k in enumerate(cavity_omegas):
+        diag = diag + omega_k * occ[:, n_q + k]
+    h = np.diag(diag)  # block diagonal in N
+    # lower qubit q by one level, add one photon to mode k
+    src, q, k = np.nonzero((occ[:, :n_q, None] >= 1) & (occ[:, None, n_q:] + 1 < m))
+    targets = occ[src] - eye[q] + eye[n_q + k]
+    dst = [position[lbl] for lbl in map(tuple, targets.tolist())]
+    h[src, dst] = couplings.g[k, q, occ[src, q] - 1] * np.sqrt(occ[src, n_q + k] + 1.0)
+    h[dst, src] = h[src, dst]
+    energies = np.empty(len(occ))
+    eigen = np.empty(len(occ), dtype=int)
+    overlaps = np.empty(len(occ))
+    n_exc = occ.sum(axis=1)
+    for n in range(3):
+        rows = np.flatnonzero(n_exc == n)
+        values, vectors = np.linalg.eigh(h[np.ix_(rows, rows)])
+        overlap2 = np.abs(vectors)**2
+        assigned = _greedy_assign(overlap2)
+        energies[rows] = values
+        eigen[rows] = rows[assigned]
+        overlaps[rows] = overlap2[np.arange(len(rows)), assigned]
+    return DressedSpectrum(basis=basis, energies=energies,
+                           eigen_index=dict(zip(labels, eigen.tolist())),
+                           overlaps=dict(zip(labels, overlaps.tolist())))
 
 
 @dataclass(frozen=True)
 class DispersiveResult:
     """Dressed qubit frequency, anharmonicity, cavity frequency, photon shift,
     and (optionally) qubit-qubit shift, all in rad/s; ``flags`` lists the
-    bare labels whose dressed identification was unreliable."""
+    bare labels whose dressed identification was unreliable, and
+    ``min_label_overlap`` is the smallest best overlap over the labels used
+    (a label is flagged when its overlap is at or below the threshold)."""
 
     omega01: float
     alpha: float | None
@@ -356,6 +445,7 @@ class DispersiveResult:
     chi: float
     zeta: float | None
     flags: tuple[tuple[int, ...], ...]
+    min_label_overlap: float
 
 
 def _label(basis: SystemBasis, **occ: int) -> tuple[int, ...]:
@@ -399,11 +489,12 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
             raise ValueError(f"invalid qubit pair {qubit_pair}")
         used += [_label(basis, **{f"q{qa}": 1}), _label(basis, **{f"q{qb}": 1}),
                  _label(basis, **{f"q{qa}": 1, f"q{qb}": 1})]
-    flags = tuple(lbl for lbl in dict.fromkeys(used) if dressed.is_flagged(lbl))
+    used = tuple(dict.fromkeys(used))
+    flags = tuple(lbl for lbl in used if dressed.is_flagged(lbl))
     if strict and flags:
         raise DispersiveInvalidError(
             f"dressed state(s) {flags} have best overlap <= "
-            f"{dressed.flag_threshold:g}; labels are unreliable "
+            f"{FLAG_THRESHOLD:g}; labels are unreliable "
             "(pass strict=False to get values anyway)")
     e0 = dressed.energy(_label(basis))
     e_q1 = dressed.energy(_label(basis, **{q: 1}))
@@ -422,7 +513,8 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
                 - dressed.energy(_label(basis, **{f"q{qa}": 1}))
                 - dressed.energy(_label(basis, **{f"q{qb}": 1})) + e0)
     return DispersiveResult(omega01=omega01, alpha=alpha, omega_cavity=omega_cavity,
-                            chi=chi, zeta=zeta, flags=flags)
+                            chi=chi, zeta=zeta, flags=flags,
+                            min_label_overlap=min(map(dressed.overlap, used)))
 
 
 def two_level_chi_estimate(g: float, delta: float, alpha: float) -> float:

@@ -17,6 +17,7 @@ from cavqed.config import (build_dipole, build_geometry, build_probes,
 from cavqed.errors import ConvergenceError
 from cavqed.perturbation import perturbed_frequency_tip
 from cavqed.ports import port_coupling
+from cavqed.system import FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TABLE1 = str(CONFIGS / "table1_single_qubit.yaml")
@@ -213,6 +214,35 @@ class TestDispersive:
         # the swept qubit stiffens as L_J drops, so omega01 must rise
         assert points[-1]["omega01_GHz"] > points[0]["omega01_GHz"]
         assert all(p["zeta_MHz"] is not None for p in points)
+
+    @pytest.fixture(scope="class")
+    def zz_points(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("zz") / "zz.json"
+        assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out)]) == 0
+        return json.loads(out.read_text())["points"]
+
+    @staticmethod
+    def zz_single_point(tmp_path, l_j_nh):
+        out = tmp_path / "one.json"
+        assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out),
+                         "--override", "dispersive.sweep={type: none}",
+                         "--override", f"qubits.1.L_J_nH={l_j_nh!r}"]) == 0
+        return json.loads(out.read_text())["points"][0]
+
+    def test_min_label_overlap(self, tmp_path, zz_points):
+        # inside the ~1e-6 nH wide |11>-|20> gap that criterion 10 bisects to
+        at_gap = self.zz_single_point(tmp_path, 3.287495224609375)
+        assert at_gap["flags"] == [[1, 1, 0, 0, 0]]
+        for point in zz_points + [at_gap]:
+            assert bool(point["flags"]) == (
+                point["min_label_overlap"] <= FLAG_THRESHOLD + FLAG_BOUNDARY_SLACK)
+        assert 0.97 <= min(p["min_label_overlap"] for p in zz_points) <= 0.98
+
+    def test_point_independent_of_sweep(self, tmp_path, zz_points):
+        point = zz_points[8]
+        alone = self.zz_single_point(tmp_path, point["L_J_nH"])
+        # bit for bit: every float key, the flags and the overlap
+        assert {**alone, "L_J_nH": point["L_J_nH"]} == point
 
     def test_external_modes_match_analytic(self, tmp_path):
         # the external CSV carries what a field solver would supply: the

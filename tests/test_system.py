@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, event, given, note, settings
+from hypothesis import strategies as st
 
 import cavqed as cq
 from cavqed.errors import DispersiveInvalidError, FieldVariationWarning
+from cavqed.system import FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD
 
 import oracles
 from conftest import C_LOAD
@@ -269,6 +272,176 @@ class TestDressedSpectrum:
         _, dressed, _ = dressed_reference
         with pytest.raises(ValueError):
             dressed.energy((0, 0))
+
+
+class TestSectorSpectrum:
+    def test_reference_values(self, reference_system, dressed_reference):
+        basis, dense, couplings = dressed_reference
+        omegas = [m.omega for m in reference_system["modes"]]
+        dressed = cq.sector_spectrum([reference_system["qubit"]], omegas,
+                                     couplings, basis)
+        result = cq.dispersive_params(dressed)
+        npt.assert_allclose(result.omega01 / (TWO_PI * 1e9), DRESSED_F01_GHZ,
+                            rtol=1e-10)
+        npt.assert_allclose(result.alpha / (TWO_PI * 1e6), DRESSED_ALPHA_MHZ,
+                            rtol=1e-10)
+        npt.assert_allclose(result.chi / (TWO_PI * 1e6), CHI_MHZ, rtol=1e-9)
+        assert result.flags == ()
+        assert result.min_label_overlap == cq.dispersive_params(dense).min_label_overlap
+
+    @pytest.mark.parametrize("n_qubits, n_cavities, n_levels, size", [
+        (1, 2, 6, 10), (2, 3, 3, 21), (1, 2, 15, 10), (1, 1, 2, 4), (2, 2, 2, 11)])
+    def test_sector_sizes(self, n_qubits, n_cavities, n_levels, size):
+        spec = cq.TransmonSpectrum(params=cq.TransmonParams(E_C=1e-24, E_J=1e-22),
+                                   levels=tuple(TWO_PI * 6e9 * j * 0.95**j
+                                                for j in range(n_levels)),
+                                   charge_elements=(-1j,) * (n_levels - 1))
+        basis = cq.SystemBasis(n_qubits=n_qubits, n_cavities=n_cavities,
+                               n_levels=n_levels)
+        g = np.full((n_cavities, n_qubits, n_levels - 1), TWO_PI * 20e6)
+        dressed = cq.sector_spectrum([spec] * n_qubits,
+                                     [TWO_PI * 7.5e9] * n_cavities,
+                                     cq.CouplingMatrix(g=g), basis)
+        # every occupation tuple of total <= 2 within the cutoff, basis order
+        expected = [tuple(lbl) for lbl in basis.labels() if sum(lbl) <= 2]
+        assert list(dressed.eigen_index) == expected
+        assert len(expected) == size == len(dressed.energies)
+        assert sorted(dressed.eigen_index.values()) == list(range(size))
+
+    def test_label_outside_sectors_rejected(self, reference_system,
+                                            dressed_reference):
+        basis, _, couplings = dressed_reference
+        omegas = [m.omega for m in reference_system["modes"]]
+        dressed = cq.sector_spectrum([reference_system["qubit"]], omegas,
+                                     couplings, basis)
+        for label in ((3, 0, 0), (1, 1, 1)):
+            with pytest.raises(ValueError, match=r"excitation number 3.*N <= 2"):
+                dressed.energy(label)
+            with pytest.raises(ValueError, match=r"excitation number 3.*N <= 2"):
+                dressed.overlap(label)
+        with pytest.raises(ValueError, match="outside local dimension"):
+            dressed.energy((6, 0, 0))
+        with pytest.raises(ValueError, match="3 entries"):
+            dressed.energy((0, 0))
+
+    def test_flagged_in_basis_order(self):
+        # qubit resonant with mode 1 (labels (1,0,0) and (0,0,1) hybridize);
+        # the sector labels of N = 1 and N = 2 interleave in basis order
+        omega = TWO_PI * 6.0e9
+        spec = cq.TransmonSpectrum(params=cq.TransmonParams(E_C=1e-24, E_J=1e-22),
+                                   levels=(0.0, omega, 2 * omega - TWO_PI * 0.3e9),
+                                   charge_elements=(-1j, -1j))
+        basis = cq.SystemBasis(n_qubits=1, n_cavities=2, n_levels=3)
+        g = np.zeros((2, 1, 2))
+        g[1, 0] = TWO_PI * 50e6
+        omegas = [TWO_PI * 7.5e9, omega]
+        dressed = cq.sector_spectrum([spec], omegas, cq.CouplingMatrix(g=g), basis)
+        dense = cq.dressed_spectrum(
+            cq.assemble_hamiltonian([spec], omegas, cq.CouplingMatrix(g=g), basis),
+            basis)
+        flagged = dressed.flagged()
+        assert {(0, 0, 1), (1, 0, 0)} <= set(flagged)
+        assert list(flagged) == sorted(flagged)
+        assert flagged == tuple(lbl for lbl in dense.flagged() if sum(lbl) <= 2)
+
+
+# Relative distance (to the largest |energy|) below which two dense
+# eigenvalues count as one degenerate level: its eigenvectors are any rotation
+# within the eigenspace, so a label assigned to it need not agree between the
+# solvers.  Round-off scale, so only exact ties are skipped.
+TIE = 1e-10
+
+
+@st.composite
+def small_systems(draw):
+    """Random 1-2 qubit, 1-3 mode systems (units of 2*pi GHz), with modes and
+    the second qubit optionally within 1 MHz of the first qubit."""
+    n_qubits = draw(st.integers(1, 2))
+    n_cavities = draw(st.integers(1, 3))
+    n_levels = draw(st.integers(2, 4 if n_qubits + n_cavities <= 4 else 3))
+    unit = TWO_PI * 1e9
+    near = st.floats(-1e-3, 1e-3)
+    omega01 = [draw(st.floats(5.0, 7.0))]
+    if n_qubits == 2:
+        omega01.append(draw(st.one_of(st.floats(5.0, 7.0),
+                                      near.map(lambda d: omega01[0] + d))))
+    spectra = []
+    for w in omega01:
+        alpha = draw(st.floats(-0.4, -0.1))
+        spectra.append(cq.TransmonSpectrum(
+            params=cq.TransmonParams(E_C=1e-24, E_J=1e-22),
+            levels=tuple(unit * (j * w + alpha * j * (j - 1) / 2)
+                         for j in range(n_levels)),
+            charge_elements=(-1j,) * (n_levels - 1)))
+    omegas = [unit * draw(st.one_of(st.floats(5.0, 9.0),
+                                    near.map(lambda d: omega01[0] + d)))
+              for _ in range(n_cavities)]
+    shape = (n_cavities, n_qubits, n_levels - 1)
+    g = draw(st.lists(st.floats(0.0, 0.1), min_size=math.prod(shape),
+                      max_size=math.prod(shape)))
+    couplings = cq.CouplingMatrix(g=unit * np.reshape(g, shape))
+    basis = cq.SystemBasis(n_qubits=n_qubits, n_cavities=n_cavities,
+                           n_levels=n_levels)
+    return spectra, omegas, couplings, basis
+
+
+def _compare_sector_dense(spectra, omegas, couplings, basis) -> int:
+    """Check the sector solver against the dense one; return how many
+    unflagged labels of N >= 1 had their energy and overlap compared."""
+    dense = cq.dressed_spectrum(
+        cq.assemble_hamiltonian(spectra, omegas, couplings, basis), basis)
+    sector = cq.sector_spectrum(spectra, omegas, couplings, basis)
+    labels = [tuple(lbl) for lbl in basis.labels() if sum(lbl) <= 2]
+    assert list(sector.eigen_index) == labels
+    scale = float(np.max(np.abs(dense.energies)))
+    nearest = np.min(np.abs(sector.energies[:, None] - dense.energies), axis=1)
+    assert np.all(nearest <= 1e-12 * scale)
+    threshold = FLAG_THRESHOLD + FLAG_BOUNDARY_SLACK
+    compared = 0
+    for label in labels:
+        distance = np.sort(np.abs(dense.energies - dense.energy(label)))[1]
+        if distance <= TIE * scale or np.count_nonzero(
+                np.abs(dense.energies - sector.energy(label)) <= TIE * scale) > 1:
+            continue  # assigned to a degenerate level in either solver
+        # round-off of 1e-12 * scale turns an eigenvector by at most that
+        # over the distance to the next eigenvalue
+        tol = 1e-8 + 1e-12 * scale / distance
+        if max(sector.overlap(label), dense.overlap(label)) <= threshold + tol:
+            # flagged in both, or within round-off of the threshold
+            assert sector.overlap(label) <= threshold + tol, label
+            assert dense.overlap(label) <= threshold + tol, label
+            continue
+        # an overlap above 1/2 fixes the pairing: same eigenvector in both
+        assert not sector.is_flagged(label) and not dense.is_flagged(label), label
+        assert abs(sector.energy(label) - dense.energy(label)) <= 1e-12 * scale, label
+        assert abs(sector.overlap(label) - dense.overlap(label)) <= tol, label
+        compared += sum(label) > 0
+    return compared
+
+
+def test_sector_matches_dense():
+    """The sector eigenvalues are dense eigenvalues.  Every label of the
+    sectors N <= 2 not assigned to a degenerate level (see TIE) is flagged by
+    both solvers or by neither, unless its overlap lies within round-off of
+    the threshold.  An unflagged label (overlap above 1/2) pairs with the only
+    eigenvector it overlaps by more than 1/2, so it also has the dense energy
+    and overlap; a flagged one may pair differently where greedy overlaps tie
+    exactly (e.g. at an exact resonance), which round-off breaks."""
+    counts = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_systems())
+    def check(system):
+        compared = _compare_sector_dense(*system)
+        note(f"labels of N >= 1 compared: {compared}")
+        event("labels of N >= 1 compared", compared)
+        counts.append(compared)
+
+    check()
+    # boundary draws (g = 0, exact resonances) must not skip most examples
+    assert len(counts) >= 100
+    assert sum(n > 0 for n in counts) >= 0.8 * len(counts)
 
 
 class TestDispersiveParams:
