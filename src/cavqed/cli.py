@@ -122,6 +122,16 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _external_records(cfg: dict, labels: list[str]) -> dict:
+    """External mode records by label; ConfigError if one of ``labels`` is missing."""
+    by_label = {rec.mode_label: rec for rec in read_external_modes(cfg["external_modes"])}
+    missing = [lbl for lbl in labels if lbl not in by_label]
+    if missing:
+        raise ConfigError(f"external mode file lacks record(s) {missing}; "
+                          f"available: {sorted(by_label)}")
+    return by_label
+
+
 # --- modes -------------------------------------------------------------------
 
 def cmd_modes(args) -> int:
@@ -154,13 +164,7 @@ def _hom_response(cfg: dict, geom: CavityGeometry) -> tuple[ScatteringResponse, 
     pipeline or from an external mode file."""
     label = str(get_setting(cfg, "hom.mode"))
     if "external_modes" in cfg:
-        records = read_external_modes(cfg["external_modes"])
-        by_label = {rec.mode_label: rec for rec in records}
-        if label not in by_label:
-            raise ConfigError(
-                f"external mode file has no record labeled {label!r}; "
-                f"available: {sorted(by_label)}")
-        rec = by_label[label]
+        rec = _external_records(cfg, [label])[label]
         resp = ScatteringResponse(omega0=ghz_to_rad_per_s(rec.f_GHz),
                                   g1=rec.g_port1, g2=rec.g_port2)
         return resp, "external", label
@@ -239,12 +243,7 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
     """Per requested mode: (label, omega_k, field lookup) where the lookup maps a
     QubitInstance and its index to the mode E vector at the dipole center."""
     if "external_modes" in cfg:
-        records = read_external_modes(cfg["external_modes"])
-        by_label = {rec.mode_label: rec for rec in records}
-        missing = [lbl for lbl in labels if lbl not in by_label]
-        if missing:
-            raise ConfigError(f"external mode file lacks record(s) {missing}; "
-                              f"available: {sorted(by_label)}")
+        by_label = _external_records(cfg, labels)
         unused = sorted(set(by_label) - set(labels))
         if unused:
             print(f"warning: ignoring {len(unused)} unused external mode(s): "

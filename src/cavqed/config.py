@@ -19,6 +19,7 @@ import yaml
 
 from .cavity import CavityGeometry, CoaxProbe, ModeIndex
 from .errors import ConfigError
+from .hom import DEFAULT_N_BINS
 from .transmon import DipoleSpec
 
 SCHEMA_VERSION = 1
@@ -175,7 +176,7 @@ DEFAULTS = {
     "hom.center": "balanced",
     "hom.tau_max_us": 25.0,
     "hom.n_tau": 101,
-    "hom.n_bins": 8192,
+    "hom.n_bins": DEFAULT_N_BINS,
     "hom.normalization": "integrated",
     "hom.mode": "TE101",
     "dispersive.cavity_modes": ["TE101", "TE102"],

@@ -22,6 +22,11 @@ of the integrated curve does not reach 0 exactly: it is bounded below by the
 spectral Cauchy-Schwarz slack, of order 1/(2*Gamma*sigma)^2 for a cavity
 linewidth Gamma = pi*(g1^2+g2^2) wide compared to the photon bandwidth.
 
+Only the phase exp(-i*omega*tau) depends on the delay: a curve computes the
+response and packet spectra once, and each delay only multiplies them by its
+own phase row, reduced on its own so its g2 is bitwise the same in any delay
+array.
+
 Internally the global reference time t0 is fixed to 0; results are
 t0-invariant (a tested property, not a knob).  Proportionality constants
 between field and output operators cancel in the ratios and are dropped.
@@ -37,8 +42,9 @@ import numpy as np
 from .errors import DegenerateResponseError, GridCoverageWarning, UndefinedCorrelationError
 from .ports import ScatteringResponse, transfer_functions
 
-#: Default number of frequency bins; spans omega0 +- max(20/sigma, 40*pi*(g1^2+g2^2)).
-DEFAULT_N_BINS = 2048
+#: Default bins of :func:`default_grid` and ``hom.n_bins``; for the shipped
+#: ``hom_default`` packets the alias period is then 41*sigma, above 2*tau_max.
+DEFAULT_N_BINS = 8192
 
 #: g2 values for tau points where the correlation is undefined (missing, not aborted).
 MISSING_VALUE = math.nan
@@ -127,36 +133,62 @@ def spectral_weights(pkt: PhotonWavepacket, grid: FrequencyGrid, t_ref: float = 
     return env / norm * np.exp(1j * om * t_ref)
 
 
-def _response_arrays(resp: ScatteringResponse, grid: FrequencyGrid):
-    s_matrix = transfer_functions(resp, grid.omegas)
-    return (s_matrix[..., 0, 0], s_matrix[..., 0, 1],
-            s_matrix[..., 1, 0], s_matrix[..., 1, 1])
+def _delay_sums(omegas: np.ndarray, taus: np.ndarray, plus: np.ndarray,
+                minus: np.ndarray) -> np.ndarray:
+    """[sum(plus * exp(+i*omega*tau)), sum(minus * exp(-i*omega*tau))] for the 1-D
+    ``taus``.  Each delay's phase row is reduced on its own with ``np.sum``, not
+    BLAS, so a delay's value does not depend on the other delays."""
+    sums = np.empty((2, taus.size), dtype=complex)
+    for k, tau in enumerate(taus):
+        phase = np.exp(1j * (tau * omegas))
+        sums[0, k] = np.sum(plus * phase)
+        sums[1, k] = np.sum(minus * np.conj(phase))
+    return sums
 
 
-def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
-         tau: float, grid: FrequencyGrid, t0: float = 0.0) -> tuple[float, float, float]:
-    """The three discrete sums (A, B, C) for detectors firing at t0 and t0 + tau.
-
-    A is the squared interference sum, B and C the single-detector fluxes;
-    g2 = A/(B*C).  Exposed (privately) so the brute-force oracle can compare
-    all three termwise.
-    """
-    r1f, t12f, t21f, r2f = _response_arrays(resp, grid)
-    w1 = spectral_weights(pkt1, grid, t0)
-    w2 = spectral_weights(pkt2, grid, t0 + tau)
+def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket, tau,
+         grid: FrequencyGrid, t0: float = 0.0, normalization: str = "time_local") -> tuple:
+    """Coincidences A and detector singles B, C (g2 = A/(B*C)) for detectors at
+    t0 and t0 + tau, for a scalar or an array ``tau``, from one response and one
+    spectrum per packet.  ``"time_local"`` gives the sums the brute-force oracle
+    checks termwise; ``"integrated"`` the terms of :func:`g2_integrated`."""
+    if normalization not in ("integrated", "time_local"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if pkt1.port != 1 or pkt2.port != 2:
+        raise ValueError("pkt1 must enter port 1 and pkt2 port 2")
+    # 1-D even for a scalar tau: numpy's complex scalar arithmetic rounds differently.
+    taus = np.asarray(tau, dtype=float).reshape(-1)
     om = grid.omegas
-    phase1 = np.exp(-1j * om * t0)            # detector 1 fires at t0
-    phase2 = np.exp(-1j * om * (t0 + tau))    # detector 2 fires at t0 + tau
-    refl_1 = np.sum(w1 * r1f * phase1)        # photon 1 reflected into detector 1
-    trans_1 = np.sum(w2 * t12f * phase1)      # photon 2 transmitted into detector 1
-    refl_2 = np.sum(w2 * r2f * phase2)        # photon 2 reflected into detector 2
-    trans_2 = np.sum(w1 * t21f * phase2)      # photon 1 transmitted into detector 2
-    norm1 = float(np.sum(np.abs(w1)**2))
-    norm2 = float(np.sum(np.abs(w2)**2))
-    a = abs(refl_1 * refl_2 + trans_1 * trans_2)**2
-    b = abs(trans_1)**2 * norm1 + abs(refl_1)**2 * norm2
-    c = abs(trans_2)**2 * norm2 + abs(refl_2)**2 * norm1
-    return float(a), float(b), float(c)
+    s_matrix = transfer_functions(resp, om)
+    w1 = spectral_weights(pkt1, grid, t0)
+    w2 = spectral_weights(pkt2, grid, t0)
+    detect = np.exp(-1j * om * t0)
+    # Packet 2's delay phase cancels detector 2's on the reflected path (a2).
+    a1 = w1 * s_matrix[:, 0, 0] * detect    # photon 1 reflected into detector 1
+    b1 = w2 * s_matrix[:, 0, 1] * detect    # photon 2 transmitted into detector 1
+    a2 = w2 * s_matrix[:, 1, 1] * detect    # photon 2 reflected into detector 2
+    b2 = w1 * s_matrix[:, 1, 0] * detect    # photon 1 transmitted into detector 2
+    if normalization == "time_local":
+        trans_1, trans_2 = _delay_sums(om, taus, b1, b2)
+        refl_1, refl_2 = np.sum(a1), np.sum(a2)
+        norm1, norm2 = np.sum(np.abs(w1)**2), np.sum(np.abs(w2)**2)
+        abc = (np.abs(refl_1 * refl_2 + trans_1 * trans_2)**2,
+               np.abs(trans_1)**2 * norm1 + np.abs(refl_1)**2 * norm2,
+               np.abs(trans_2)**2 * norm2 + np.abs(refl_2)**2 * norm1)
+    else:
+        y, x = _delay_sums(om, taus, a2 * np.conj(b2), a1 * np.conj(b1))
+        p1, q1, p2, q2 = (np.sum(np.abs(amp)**2) for amp in (a1, b1, a2, b2))
+        abc = (p1 * p2 + q1 * q2 + 2.0 * np.real(x * y),
+               np.full(taus.shape, p1 + q1), np.full(taus.shape, p2 + q2))
+    return tuple(v.reshape(np.shape(tau)) for v in abc)
+
+
+def _g2_at(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
+           tau: float, grid: FrequencyGrid, normalization: str) -> float:
+    a, b, c = _abc(resp, pkt1, pkt2, float(tau), grid, normalization=normalization)
+    if b * c == 0.0:
+        raise UndefinedCorrelationError("zero flux at a detector; g2 undefined")
+    return float(a / (b * c))
 
 
 def g2(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
@@ -166,12 +198,7 @@ def g2(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
     Requires pkt1 on port 1 and pkt2 on port 2.  Raises
     :class:`UndefinedCorrelationError` when a detector sees zero flux.
     """
-    if pkt1.port != 1 or pkt2.port != 2:
-        raise ValueError("pkt1 must enter port 1 and pkt2 port 2")
-    a, b, c = _abc(resp, pkt1, pkt2, tau, grid)
-    if b * c == 0.0:
-        raise UndefinedCorrelationError("zero flux at a detector; g2 undefined")
-    return a / (b * c)
+    return _g2_at(resp, pkt1, pkt2, tau, grid, "time_local")
 
 
 def g2_integrated(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
@@ -190,50 +217,24 @@ def g2_integrated(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: Photon
 
     Always in [0, 1]; tends to exactly 1/2 for fully distinguishable packets.
     """
-    if pkt1.port != 1 or pkt2.port != 2:
-        raise ValueError("pkt1 must enter port 1 and pkt2 port 2")
-    r1f, t12f, t21f, r2f = _response_arrays(resp, grid)
-    g1w = spectral_weights(pkt1, grid)
-    g2w = spectral_weights(pkt2, grid)
-    om = grid.omegas
-    a1 = g1w * r1f
-    b1 = g2w * t12f
-    a2 = g2w * r2f
-    b2 = g1w * t21f
-    p1 = float(np.sum(np.abs(a1)**2))
-    q1 = float(np.sum(np.abs(b1)**2))
-    p2 = float(np.sum(np.abs(a2)**2))
-    q2 = float(np.sum(np.abs(b2)**2))
-    phase = np.exp(-1j * om * tau)
-    x = np.sum(a1 * np.conj(b1) * phase)
-    y = np.sum(a2 * np.conj(b2) / phase)
-    singles = (p1 + q1) * (p2 + q2)
-    if singles == 0.0:
-        raise UndefinedCorrelationError("zero flux at a detector; g2 undefined")
-    return (p1 * p2 + q1 * q2 + 2.0 * float(np.real(x * y))) / singles
+    return _g2_at(resp, pkt1, pkt2, tau, grid, "integrated")
 
 
 def hom_curve(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
               taus, grid: FrequencyGrid, normalization: str = "integrated") -> HomCurve:
-    """Map the chosen correlation over a delay grid.
+    """Map the chosen correlation over a 1-D delay grid.
 
     ``normalization``: ``"integrated"`` (default; 0.5 tails, the conventional
     plotted curve) or ``"time_local"`` (the strict A/(B*C) sums; tails -> 1).
-    Per-point errors are recorded as NaN, not raised.
+    Delays where a detector sees zero flux are NaN, not raised.
     """
-    if normalization == "integrated":
-        func = g2_integrated
-    elif normalization == "time_local":
-        func = g2
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    values = []
-    for tau in taus:
-        try:
-            values.append(func(resp, pkt1, pkt2, float(tau), grid))
-        except UndefinedCorrelationError:
-            values.append(MISSING_VALUE)
-    return HomCurve(taus=tuple(float(t) for t in taus), g2_values=tuple(values))
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("taus must be one-dimensional")
+    a, b, c = _abc(resp, pkt1, pkt2, taus, grid, normalization=normalization)
+    values = np.divide(a, b * c, out=np.full(taus.shape, MISSING_VALUE),
+                       where=b * c != 0.0)
+    return HomCurve(taus=tuple(taus.tolist()), g2_values=tuple(values.tolist()))
 
 
 def balanced_center_frequency(resp: ScatteringResponse) -> float:
@@ -254,14 +255,9 @@ def scan_balanced_center(resp: ScatteringResponse, sigma: float, half_width: flo
     one scan step for symmetric couplings.
     """
     center0 = balanced_center_frequency(resp)
-    candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan)
-    func = g2 if normalization == "time_local" else g2_integrated
-    best_center, best_val = float(candidates[0]), math.inf
-    for center in candidates:
-        pkt1 = PhotonWavepacket(float(center), sigma, port=1)
-        pkt2 = PhotonWavepacket(float(center), sigma, port=2)
-        grid = default_grid(resp, sigma, n_bins=n_bins, center=float(center))
-        val = func(resp, pkt1, pkt2, 0.0, grid)
-        if val < best_val:
-            best_center, best_val = float(center), val
-    return best_center
+    candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan).tolist()
+    dips = [_g2_at(resp, PhotonWavepacket(center, sigma, port=1),
+                   PhotonWavepacket(center, sigma, port=2), 0.0,
+                   default_grid(resp, sigma, n_bins=n_bins, center=center), normalization)
+            for center in candidates]
+    return candidates[int(np.argmin(dips))]

@@ -140,7 +140,7 @@ class TestHom:
         assert "hom.n_bins" in err and "hom.tau_max_us" in err
         assert not (tmp_path / "h.csv").exists()
 
-    def test_missing_label_in_external_file(self, tmp_path):
+    def test_missing_label_in_external_file(self, tmp_path, capsys):
         modes_csv = tmp_path / "ext.csv"
         record = cq.ExternalModeRecord(mode_label="TE102", f_GHz=9.96,
                                        e_fields=((0.0, 1.0, 0.0),),
@@ -149,6 +149,8 @@ class TestHom:
         rc = cli.main(["hom", "--config", HOM, "--out", str(tmp_path / "h.csv"),
                        "--override", f"external_modes={modes_csv}"])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "TE101" in err and "available: ['TE102']" in err
 
 
 class TestDispersive:
@@ -298,6 +300,20 @@ class TestDispersive:
                        "--override", "dispersive.cavity_modes=[TE101]"])
         assert rc == 2
         assert "analytic" in capsys.readouterr().err
+
+    def test_missing_label_in_external_file(self, tmp_path, capsys):
+        # the same lookup and message as `cavqed hom`
+        modes_csv = tmp_path / "ext.csv"
+        record = cq.ExternalModeRecord(mode_label="TE102", f_GHz=9.96,
+                                       e_fields=((0.0, 656.0, 0.0),),
+                                       g_port1=1.0, g_port2=1.0)
+        cq.write_external_modes(str(modes_csv), [record])
+        rc = cli.main(["dispersive", "--config", TABLE1,
+                       "--out", str(tmp_path / "d.json"),
+                       "--override", f"external_modes={modes_csv}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "TE101" in err and "available: ['TE102']" in err
 
     def test_missing_sweep_key(self, tmp_path, capsys):
         cfg = yaml.safe_load(Path(ZZ_SWEEP).read_text())

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import cavqed as cq
+from cavqed import config
 from cavqed.errors import (DegenerateResponseError, GridCoverageWarning,
                            UndefinedCorrelationError)
 from cavqed.hom import _abc
@@ -108,6 +109,14 @@ class TestDefaultGrid:
         d_omega = grid.omegas[1] - grid.omegas[0]
         assert 2 * math.pi / d_omega > 10 * SIGMA
 
+    def test_default_bins_clear_shipped_delays(self, response):
+        # The library default is the CLI default, and its alias period holds
+        # the whole +-10 sigma delay span of the shipped configuration.
+        assert cq.hom.DEFAULT_N_BINS == config.DEFAULTS["hom.n_bins"]
+        grid = cq.default_grid(response, SIGMA)
+        d_omega = grid.omegas[1] - grid.omegas[0]
+        assert 2 * math.pi / d_omega > 2 * 10 * SIGMA
+
 
 class TestCorrelations:
     def test_dip_time_local(self, response, balanced):
@@ -186,29 +195,68 @@ class TestCorrelations:
             pkt2 = cq.PhotonWavepacket(
                 response.omega0 + rng.uniform(-1, 1) * fwhm,
                 SIGMA * rng.uniform(0.01, 0.1), port=2)
-            tau = rng.uniform(-1, 1) * 1e-7
+            taus = rng.uniform(-1, 1, size=4) * 1e-7
             t0 = rng.uniform(0, 1) * 1e-7
-            # The input state carries the packet timing phases: packet 1 is
-            # referenced to t0, packet 2 to t0 + tau.
+            actual = np.array(_abc(response, pkt1, pkt2, taus, grid, t0=t0))
             w1 = cq.spectral_weights(pkt1, grid, t_ref=t0)
-            w2 = cq.spectral_weights(pkt2, grid, t_ref=t0 + tau)
-            expected = oracles.brute_force_abc(response, w1, w2,
-                                               grid.omegas, tau, t0)
-            actual = _abc(response, pkt1, pkt2, tau, grid, t0=t0)
-            npt.assert_allclose(actual, expected, rtol=1e-10, atol=1e-30)
+            for k, tau in enumerate(taus):
+                # The input state carries the packet timing phases: packet 1
+                # is referenced to t0, packet 2 to t0 + tau.
+                w2 = cq.spectral_weights(pkt2, grid, t_ref=t0 + tau)
+                expected = oracles.brute_force_abc(response, w1, w2,
+                                                   grid.omegas, tau, t0)
+                npt.assert_allclose(actual[:, k], expected, rtol=1e-10, atol=1e-30)
 
 
 class TestHomCurve:
     def test_curve_shapes_and_time_local(self, response, balanced):
+        # Every delay is bitwise the value of the scalar call, in either
+        # normalization and in either delay order.
         pkt1, pkt2, grid = balanced
-        taus = np.linspace(-2 * SIGMA, 2 * SIGMA, 5)
-        curve = cq.hom_curve(response, pkt1, pkt2, taus, grid,
-                             normalization="time_local")
-        assert len(curve.taus) == len(curve.g2_values) == 5
-        npt.assert_array_equal(curve.taus, taus)
-        for tau, value in zip(curve.taus, curve.g2_values):
-            npt.assert_allclose(value, cq.g2(response, pkt1, pkt2, tau, grid),
-                                rtol=0)
+        taus = np.linspace(-2 * SIGMA, 2 * SIGMA, 6)
+        for normalization, scalar in (("time_local", cq.g2),
+                                      ("integrated", cq.g2_integrated)):
+            for order in (taus, taus[::-1]):
+                curve = cq.hom_curve(response, pkt1, pkt2, order, grid,
+                                     normalization=normalization)
+                assert len(curve.taus) == len(curve.g2_values) == 6
+                npt.assert_array_equal(curve.taus, order)
+                for tau, value in zip(curve.taus, curve.g2_values):
+                    npt.assert_allclose(
+                        value, scalar(response, pkt1, pkt2, tau, grid), rtol=0)
+
+    @pytest.mark.parametrize("sigma2", [SIGMA, 0.6 * SIGMA])
+    def test_integrated_curve_matches_gaussian_closed_form(self, response, sigma2):
+        # Broadband cavity limit: 1/2 (1 - V exp(-tau^2 / (s1^2 + s2^2))) with
+        # visibility V = 2 s1 s2 / (s1^2 + s2^2), at every delay out to 10 sigma.
+        center = cq.balanced_center_frequency(response)
+        pkt1 = cq.PhotonWavepacket(omega_in=center, sigma=SIGMA, port=1)
+        pkt2 = cq.PhotonWavepacket(omega_in=center, sigma=sigma2, port=2)
+        grid = cq.default_grid(response, sigma2, n_bins=8192, center=center)
+        taus = np.linspace(-10 * SIGMA, 10 * SIGMA, 101)
+        curve = cq.hom_curve(response, pkt1, pkt2, taus, grid)
+        width2 = SIGMA**2 + sigma2**2
+        closed = 0.5 * (1.0 - 2.0 * SIGMA * sigma2 / width2 * np.exp(-taus**2 / width2))
+        npt.assert_allclose(curve.g2_values, closed, rtol=0, atol=2e-3)
+
+    def test_one_response_evaluation_per_curve(self, response, balanced, monkeypatch):
+        pkt1, pkt2, grid = balanced
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cq.transfer_functions(*args, **kwargs)
+
+        monkeypatch.setattr("cavqed.hom.transfer_functions", counting)
+        for normalization in ("integrated", "time_local"):
+            cq.hom_curve(response, pkt1, pkt2, np.linspace(-SIGMA, SIGMA, 11), grid,
+                         normalization=normalization)
+        assert len(calls) == 2
+
+    def test_rejects_non_1d_delays(self, response, balanced):
+        pkt1, pkt2, grid = balanced
+        with pytest.raises(ValueError):
+            cq.hom_curve(response, pkt1, pkt2, [[0.0, SIGMA]], grid)
 
     def test_curve_integrated_default(self, response, balanced):
         pkt1, pkt2, grid = balanced
@@ -220,6 +268,9 @@ class TestHomCurve:
         with pytest.raises(ValueError):
             cq.hom_curve(response, pkt1, pkt2, [0.0], grid,
                          normalization="per_packet")
+        with pytest.raises(ValueError):
+            cq.scan_balanced_center(response, SIGMA, half_width=1e3, n_scan=3,
+                                    n_bins=512, normalization="per_packet")
 
 
 class TestBalancedCenter:
