@@ -5,6 +5,14 @@ Boundary units are human-scale (mm, GHz, microseconds, fF, nH); everything
 behind the builders is SI with angular frequencies in rad/s.  The hash covers
 the configuration exactly as supplied (after overrides, before defaults), so
 two runs with the same hash used the same inputs.
+
+:data:`CONFIG_SCHEMA` is a JSON Schema (draft-07) document and the one
+definition of the configuration.  It is checked by a small walker that
+implements exactly the keywords the schema uses, with draft-07 semantics, plus
+one rule JSON Schema lacks: every ``number`` and ``integer`` must be finite.
+Files and override values are parsed with PyYAML's libyaml-backed safe loader
+where PyYAML was built with libyaml, and with its pure-Python ``SafeLoader``
+otherwise; both resolve and construct the same objects.
 """
 from __future__ import annotations
 
@@ -14,7 +22,6 @@ import json
 import math
 import re
 
-import jsonschema
 import yaml
 
 from .cavity import CavityGeometry, CoaxProbe, ModeIndex
@@ -195,19 +202,103 @@ _MODE_LABEL = re.compile(r"^(TE|TM)(?:(\d)(\d)(\d)|_(\d+)_(\d+)_(\d+))$")
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise :class:`ConfigError` (with the offending path) for schema violations."""
+    """Raise :class:`ConfigError` (with the offending path) for the first
+    violation of :data:`CONFIG_SCHEMA` or non-finite number."""
+    problem = _first_violation(cfg, CONFIG_SCHEMA, ())
+    if problem is not None:
+        path, message = problem
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"invalid configuration at {where}: {message}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid configuration at {path}: {exc.message}") from exc
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+#: JSON types by name; an integer-valued float is an ``integer`` (draft-07).
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: ``true`` is not ``1``."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _first_violation(value, schema: dict, path: tuple):
+    """First ``(path, message)`` at which ``value`` breaks ``schema``, or None."""
+    kind = schema.get("type")
+    if kind is not None:
+        if kind in ("number", "integer") and _is_number(value) and not _is_finite(value):
+            return path, f"{value!r} is not a finite number"
+        if not _TYPES[kind](value):
+            return path, f"{value!r} is not of type {kind!r}"
+    if "const" in schema and not _same(value, schema["const"]):
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if _is_number(value):
+        if value < schema.get("minimum", -math.inf):
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if value <= schema.get("exclusiveMinimum", -math.inf):
+            return path, (f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} has fewer than {schema['minItems']} items"
+        if len(value) > schema.get("maxItems", math.inf):
+            return path, f"{value!r} has more than {schema['maxItems']} items"
+        for i, item in enumerate(value):
+            problem = _first_violation(item, schema.get("items", {}), path + (i,))
+            if problem is not None:
+                return problem
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties", True) is False:
+            unexpected = [key for key in value if key not in properties]
+            if unexpected:
+                return path, f"unexpected key(s) {unexpected}"
+        missing = [key for key in schema.get("required", ()) if key not in value]
+        if missing:
+            return path, f"missing required key(s) {missing}"
+        for key, subschema in properties.items():
+            if key in value:
+                problem = _first_violation(value[key], subschema, path + (key,))
+                if problem is not None:
+                    return problem
+    if "oneOf" in schema:
+        matches = sum(_first_violation(value, s, path) is None for s in schema["oneOf"])
+        if matches != 1:
+            return path, (f"{value!r} is valid under {matches} of the "
+                          f"{len(schema['oneOf'])} alternatives (exactly one required)")
+    return None
+
+
+#: libyaml's safe loader shares SafeLoader's resolver and constructor.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _parse_yaml(stream):
+    return yaml.load(stream, Loader=_YAML_LOADER)
 
 
 def load_config(path: str) -> dict:
     """Read, parse, and validate a YAML configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = yaml.safe_load(fh)
+            cfg = _parse_yaml(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -232,7 +323,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         if not all(parts):
             raise ConfigError(f"override {assignment!r} has an empty path component")
         try:
-            value = yaml.safe_load(raw_value)
+            value = _parse_yaml(raw_value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {assignment!r}: bad value: {exc}") from exc
         node = out

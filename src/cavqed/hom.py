@@ -60,9 +60,9 @@ class PhotonWavepacket:
     port: int
 
     def __post_init__(self) -> None:
-        if self.omega_in <= 0:
+        if not self.omega_in > 0:  # also rejects NaN
             raise ValueError("omega_in must be positive")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.port not in (1, 2):
             raise ValueError("port must be 1 or 2")

@@ -402,6 +402,22 @@ class TestExitCodes:
                        "--override", "geometry.a_mm"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, override, path", [
+        ("modes", "probes.0.h_mm=.nan", "probes/0/h_mm"),
+        ("modes", "modes.f_max_GHz=.inf", "modes/f_max_GHz"),
+        ("dispersive", "qubits.0.L_J_nH=.nan", "qubits/0/L_J_nH"),
+        ("dispersive", "qubits.0.dipole.center_mm=[.nan,1,1]",
+         "qubits/0/dipole/center_mm/0"),
+    ])
+    def test_non_finite_override(self, tmp_path, capsys, command, override, path):
+        rc = cli.main([command, "--config", TABLE1, "--out", str(tmp_path / "out"),
+                       "--override", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration at {path}: " in err
+        assert "not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_response(self, tmp_path, capsys):
         modes_csv = tmp_path / "ext.csv"
         cq.write_external_modes(str(modes_csv), [
@@ -433,9 +449,10 @@ class TestExitCodes:
 
 
 def test_import_leaves_scipy_unloaded():
+    """Neither scipy nor jsonschema is a runtime dependency."""
     code = ("import sys, cavqed.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     # import the same cavqed the suite tests, in a fresh interpreter
     package_parent = str(Path(cq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": package_parent}

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy.testing as npt
 import pytest
@@ -6,6 +7,13 @@ import yaml
 
 from cavqed import config
 from cavqed.errors import ConfigError
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+#: The JSON Schema keywords the config walker implements.
+WALKER_KEYWORDS = {"$schema", "type", "properties", "required", "additionalProperties",
+                   "items", "minItems", "maxItems", "const", "enum", "minimum",
+                   "exclusiveMinimum", "oneOf"}
 
 MINIMAL = {
     "schema_version": 1,
@@ -71,6 +79,84 @@ class TestValidation:
             config.validate_config(cfg)
 
 
+    def test_integer_semantics(self):
+        cfg = full_config()
+        cfg["dispersive"]["M"] = 8.0  # an integer-valued float is an integer
+        config.validate_config(cfg)
+        for bad in (8.5, True, "8"):
+            cfg["dispersive"]["M"] = bad
+            with pytest.raises(ConfigError, match="at dispersive/M: .* not of type"):
+                config.validate_config(cfg)
+
+    def test_bool_is_not_a_number(self):
+        cfg = full_config()
+        cfg["geometry"]["eps_r"] = True
+        with pytest.raises(ConfigError, match="at geometry/eps_r: True is not of type"):
+            config.validate_config(cfg)
+
+    def test_const_and_enum_compare_bools_strictly(self):
+        with pytest.raises(ConfigError, match="at schema_version: "):
+            config.validate_config({**MINIMAL, "schema_version": True})
+        config.validate_config({**MINIMAL, "schema_version": 1.0})
+        cfg = full_config()
+        cfg["probes"][0]["wall"] = True
+        with pytest.raises(ConfigError, match="at probes/0/wall: "):
+            config.validate_config(cfg)
+
+    def test_bounds(self):
+        cfg = full_config()
+        cfg["geometry"]["a_mm"] = 0
+        with pytest.raises(ConfigError, match="at geometry/a_mm: 0 is less than or equal"):
+            config.validate_config(cfg)
+        cfg = full_config()
+        cfg["qubits"][0]["dipole"]["center_mm"] = [1.0, 2.0]
+        with pytest.raises(ConfigError, match="at qubits/0/dipole/center_mm: "):
+            config.validate_config(cfg)
+        cfg = full_config()
+        cfg["dispersive"]["cavity_modes"] = []
+        with pytest.raises(ConfigError, match="at dispersive/cavity_modes: "):
+            config.validate_config(cfg)
+
+    def test_one_of(self):
+        for center in ("balanced", "scan", 7.5):
+            config.validate_config({**MINIMAL, "hom": {"center": center}})
+        for center in ("middle", None, [7.5], math.nan):
+            with pytest.raises(ConfigError, match="at hom/center: "):
+                config.validate_config({**MINIMAL, "hom": {"center": center}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                             ids=["nan", "inf", "-inf", "int_beyond_float"])
+    def test_non_finite_numbers_rejected(self, value):
+        cfg = full_config()
+        cfg["qubits"][0]["L_J_nH"] = value
+        with pytest.raises(ConfigError,
+                           match="at qubits/0/L_J_nH: .* is not a finite number"):
+            config.validate_config(cfg)
+        cfg = full_config()
+        cfg["dispersive"]["M"] = value
+        with pytest.raises(ConfigError, match="at dispersive/M: .* is not a finite number"):
+            config.validate_config(cfg)
+
+    def test_root_path(self):
+        with pytest.raises(ConfigError, match="at <root>: missing required key"):
+            config.validate_config({"schema_version": 1})
+        with pytest.raises(ConfigError, match="at <root>: unexpected key"):
+            config.validate_config({**MINIMAL, "extra": 1})
+
+    def test_schema_uses_only_walker_keywords(self):
+        """A keyword the walker does not implement would be silently ignored."""
+        def walk(schema):
+            assert set(schema) <= WALKER_KEYWORDS, set(schema) - WALKER_KEYWORDS
+            assert schema.get("type", "object") in config._TYPES
+            assert schema.get("additionalProperties", False) is False
+            children = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+            if "items" in schema:
+                children.append(schema["items"])
+            for child in children:
+                walk(child)
+        walk(config.CONFIG_SCHEMA)
+
+
 class TestLoad:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "case.yaml"
@@ -88,6 +174,23 @@ class TestLoad:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError):
             config.load_config(str(path))
+
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_parse_as_with_safe_loader(self, path):
+        text = path.read_text(encoding="utf-8")
+        reference = yaml.load(text, Loader=yaml.SafeLoader)
+        parsed = config._parse_yaml(text)
+        assert parsed == reference and repr(parsed) == repr(reference)
+        assert config.load_config(str(path)) == reference
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5e3", "0x10", "0o17", "1_000", "yes",
+                                      "No", "~", "null", ".nan", "-.inf", "2001-12-14",
+                                      "[1, 2.0, true, x]", "{a: 1}"])
+    def test_scalars_parse_as_with_safe_loader(self, text):
+        reference = yaml.load(text, Loader=yaml.SafeLoader)
+        parsed = config._parse_yaml(text)
+        assert repr(parsed) == repr(reference)
 
 
 class TestOverrides:

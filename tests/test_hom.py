@@ -40,6 +40,11 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             cq.PhotonWavepacket(omega_in=1e9, sigma=1e-6, port=3)
 
+    @pytest.mark.parametrize("omega_in, sigma", [(math.nan, 1e-6), (1e9, math.nan)])
+    def test_wavepacket_rejects_nan(self, omega_in, sigma):
+        with pytest.raises(ValueError, match="must be positive"):
+            cq.PhotonWavepacket(omega_in=omega_in, sigma=sigma, port=1)
+
     def test_grid_validation(self):
         grid = cq.FrequencyGrid(1.0, 2.0, 5)
         npt.assert_allclose(grid.omegas, np.linspace(1.0, 2.0, 5), rtol=0)
