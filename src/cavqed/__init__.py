@@ -23,11 +23,10 @@ from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
                      coupling_matrix, dipole_center_field, dispersive_params,
                      dressed_spectrum, qubit_cavity_coupling, receiving_voltage,
                      receiving_voltage_line_integral, sector_spectrum,
-                     terminal_voltage, transition_couplings,
-                     two_level_chi_estimate, validate_qubit_placement)
+                     transition_couplings, validate_qubit_placement)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,
-                       charge_matrix_element_asymptotic, default_charge_cutoff,
-                       dipole_capacitance, level_asymptotic, transmon_spectrum)
+                       default_charge_cutoff, dipole_capacitance,
+                       transmon_spectrum)
 
 __version__ = "0.1.0"
 

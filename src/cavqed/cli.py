@@ -45,6 +45,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
 from .external import read_external_modes, write_external_modes
 from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
                   hom_curve, scan_balanced_center)
+from .output import open_output
 from .perturbation import perturbed_frequency_tip
 from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
 from .system import (QubitInstance, SystemBasis, CouplingMatrix,
@@ -108,7 +109,7 @@ def _resolve_out(args, cfg: dict, suffix: str) -> Path:
 
 
 def _write_csv(path: Path, sha: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(f"# config_sha256={sha}\n")
         writer = csv.writer(fh)
@@ -117,7 +118,7 @@ def _write_csv(path: Path, sha: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -180,6 +181,12 @@ def _hom_response(cfg: dict, geom: CavityGeometry) -> tuple[ScatteringResponse, 
 
 def cmd_hom(args) -> int:
     cfg, sha = _prepare(args)
+    out = _resolve_out(args, cfg, "_hom.csv")
+    sidecar = out.with_suffix(".json")
+    if sidecar == out:
+        raise ConfigError(f"--out {out} would be overwritten by the JSON sidecar, "
+                          "which takes the --out path with suffix .json; "
+                          "give --out another suffix, e.g. .csv")
     geom = build_geometry(cfg)
     resp, mode_source, label = _hom_response(cfg, geom)
     sigma1 = us_to_s(float(get_setting(cfg, "hom.sigma1_us")))
@@ -210,10 +217,8 @@ def cmd_hom(args) -> int:
             f"{2.0 * tau_max / 1e-6:.4g} us; raise hom.n_bins or lower hom.tau_max_us")
     taus = np.linspace(-tau_max, tau_max, n_tau)
     curve = hom_curve(resp, pkt1, pkt2, taus, grid, normalization=normalization)
-    out = _resolve_out(args, cfg, "_hom.csv")
     _write_csv(out, sha, ["tau_s", "g2"],
                ([_fmt(t), _fmt(v)] for t, v in zip(curve.taus, curve.g2_values)))
-    sidecar = out.with_suffix(".json")
     _write_json(sidecar, {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": sha,

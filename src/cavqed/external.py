@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ExternalModesError
+from .output import open_output
 
 _E_COLUMN = re.compile(r"^E([xyz])([1-9][0-9]*)?$")
 _KNOWN_SCALARS = ("mode_label", "f_GHz", "g_port1", "g_port2")
@@ -163,7 +164,7 @@ def write_external_modes(path: str, records) -> None:
         e_names = ["Ex", "Ey", "Ez"]
     else:
         e_names = [f"E{comp}{site}" for site in range(1, n_sites + 1) for comp in "xyz"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode_label", "f_GHz", *e_names, "g_port1", "g_port2"])
         for rec in records:

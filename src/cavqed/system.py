@@ -194,14 +194,6 @@ def receiving_voltage_line_integral(dipole: DipoleSpec, mode: CavityMode,
     return float(np.sum(weights * axial) * ds)
 
 
-def terminal_voltage(v_rx: float, c_ant: float, c_load: float) -> float:
-    """Voltage across the junction: the divider C_ant/(C_ant + C_L) applied to
-    the receiving voltage."""
-    if c_ant <= 0 or c_load <= 0:
-        raise ValueError("capacitances must be positive")
-    return c_ant / (c_ant + c_load) * v_rx
-
-
 def transition_couplings(qubit: QubitInstance, e_center, omega_k: float) -> np.ndarray:
     """Coupling rates g[j] (rad/s) of every qubit transition j -> j+1 to a mode
     of angular frequency ``omega_k`` whose unit-normalized E vector at the
@@ -339,18 +331,37 @@ def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
     overlap (ties broken by bare-then-eigen index for determinism) and accepts
     a pair when both members are still unassigned, so every bare state gets
     exactly one eigenvector.
+
+    A pair that is the only one above 1/2 in its row and in its column is the
+    strict maximum of both, so that visit accepts it whatever came before:
+    all such pairs are assigned at once, and only the remaining rows and
+    columns go through the loop.  Where every bare state keeps most of its
+    weight in one eigenvector, nothing remains.
     """
     dim = overlap2.shape[0]
-    order = np.argsort(-overlap2, axis=None, kind="stable")
-    bare_assigned = np.full(dim, -1, dtype=int)
-    eigen_taken = np.zeros(dim, dtype=bool)
-    remaining = dim
+    above = overlap2 > 0.5
+    eig = above.argmax(axis=1)
+    sure = (above.sum(axis=1) == 1) & (above.sum(axis=0)[eig] == 1)
+    bare_assigned = np.where(sure, eig, -1)
+    if sure.all():
+        return bare_assigned
+    rows = np.flatnonzero(~sure)
+    free = np.ones(dim, dtype=bool)
+    free[eig[sure]] = False
+    cols = np.flatnonzero(free)
+    # the submatrix keeps the (bare, eigen) order of its entries, so ties
+    # break as they would in the whole matrix
+    n_rest = rows.size
+    order = np.argsort(-overlap2[np.ix_(rows, cols)], axis=None, kind="stable")
+    row_taken = np.zeros(n_rest, dtype=bool)
+    col_taken = np.zeros(n_rest, dtype=bool)
+    remaining = n_rest
     for flat in order:
-        bare, eig = divmod(int(flat), dim)
-        if bare_assigned[bare] >= 0 or eigen_taken[eig]:
+        r, c = divmod(int(flat), n_rest)
+        if row_taken[r] or col_taken[c]:
             continue
-        bare_assigned[bare] = eig
-        eigen_taken[eig] = True
+        bare_assigned[rows[r]] = cols[c]
+        row_taken[r] = col_taken[c] = True
         remaining -= 1
         if remaining == 0:
             break
@@ -515,15 +526,3 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
     return DispersiveResult(omega01=omega01, alpha=alpha, omega_cavity=omega_cavity,
                             chi=chi, zeta=zeta, flags=flags,
                             min_label_overlap=min(map(dressed.overlap, used)))
-
-
-def two_level_chi_estimate(g: float, delta: float, alpha: float) -> float:
-    """Textbook two-level dispersive estimate g^2 * alpha / (delta*(delta+alpha)).
-
-    A scale/sign sanity reference only: it uses a single transition and a
-    sigma-z shift convention, so it underestimates the full ground-referenced
-    chi of the multilevel model by roughly a factor of two.
-    """
-    if delta == 0.0 or delta + alpha == 0.0:
-        raise DispersiveInvalidError("estimate undefined at delta = 0 or delta = -alpha")
-    return g * g * alpha / (delta * (delta + alpha))

@@ -187,20 +187,3 @@ def transmon_spectrum(params: TransmonParams, n_levels: int = 4,
         params=params,
         levels=tuple(float(e) / HBAR for e in levels),
         charge_elements=tuple(-1j * float(el) for el in elements))
-
-
-def charge_matrix_element_asymptotic(params: TransmonParams, j: int) -> complex:
-    """Harmonic-limit estimate of <j|n|j+1>:
-    -i * (E_J/(8*E_C))**(1/4) * sqrt((j+1)/2)."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return -1j * (params.E_J / (8.0 * params.E_C))**0.25 * math.sqrt((j + 1) / 2.0)
-
-
-def level_asymptotic(params: TransmonParams, j: int) -> float:
-    """Harmonic-plus-Kerr estimate of the ground-referenced level j (rad/s):
-    (sqrt(8*E_C*E_J)*j - (E_C/2)*(j^2 + j)) / hbar."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return (math.sqrt(8.0 * params.E_C * params.E_J) * j
-            - 0.5 * params.E_C * (j * j + j)) / HBAR

@@ -2,10 +2,17 @@
 
 These deliberately avoid the algebraic factorizations of the production code:
 the two-photon coincidence pieces are evaluated by explicit enumeration of the
-(output port, frequency bin) mode pairs, O(n_bins^2) in memory and time.
+(output port, frequency bin) mode pairs, O(n_bins^2) in memory and time, and
+greedy labeling visits every (bare state, eigenvector) pair.  The textbook
+estimates at the end (harmonic transmon limits, the two-level chi, the
+capacitive divider) are scale and sign references for the exact results.
 """
+import math
+
 import numpy as np
 
+from cavqed.constants import HBAR
+from cavqed.errors import DispersiveInvalidError
 from cavqed.ports import transfer_functions
 
 
@@ -48,3 +55,57 @@ def jaynes_cummings_doublet(omega01, omega_cavity, g):
     mean = 0.5 * (omega01 + omega_cavity)
     split = 0.5 * np.sqrt((omega01 - omega_cavity) ** 2 + 4.0 * g * g)
     return mean - split, mean + split
+
+
+def greedy_assign(overlap2):
+    """Eigenvector index per bare state by plain greedy maximum overlap: visit
+    every (bare, eigen) pair in order of decreasing squared overlap (ties by
+    bare-then-eigen index) and accept it when both members are still free."""
+    dim = overlap2.shape[0]
+    order = np.argsort(-overlap2, axis=None, kind="stable")
+    bare_assigned = np.full(dim, -1, dtype=int)
+    eigen_taken = np.zeros(dim, dtype=bool)
+    for flat in order:
+        bare, eig = divmod(int(flat), dim)
+        if bare_assigned[bare] >= 0 or eigen_taken[eig]:
+            continue
+        bare_assigned[bare] = eig
+        eigen_taken[eig] = True
+    return bare_assigned
+
+
+def charge_matrix_element_asymptotic(params, j):
+    """Harmonic-limit estimate of <j|n|j+1>:
+    -i * (E_J/(8*E_C))**(1/4) * sqrt((j+1)/2)."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    return -1j * (params.E_J / (8.0 * params.E_C))**0.25 * math.sqrt((j + 1) / 2.0)
+
+
+def level_asymptotic(params, j):
+    """Harmonic-plus-Kerr estimate of the ground-referenced level j (rad/s):
+    (sqrt(8*E_C*E_J)*j - (E_C/2)*(j^2 + j)) / hbar."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    return (math.sqrt(8.0 * params.E_C * params.E_J) * j
+            - 0.5 * params.E_C * (j * j + j)) / HBAR
+
+
+def two_level_chi_estimate(g, delta, alpha):
+    """Textbook two-level dispersive estimate g^2 * alpha / (delta*(delta+alpha)).
+
+    A scale/sign sanity reference only: it uses a single transition and a
+    sigma-z shift convention, so it underestimates the full ground-referenced
+    chi of the multilevel model by roughly a factor of two.
+    """
+    if delta == 0.0 or delta + alpha == 0.0:
+        raise DispersiveInvalidError("estimate undefined at delta = 0 or delta = -alpha")
+    return g * g * alpha / (delta * (delta + alpha))
+
+
+def terminal_voltage(v_rx, c_ant, c_load):
+    """Voltage across the junction: the divider C_ant/(C_ant + C_L) applied to
+    the receiving voltage."""
+    if c_ant <= 0 or c_load <= 0:
+        raise ValueError("capacitances must be positive")
+    return c_ant / (c_ant + c_load) * v_rx

