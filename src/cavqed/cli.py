@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -121,6 +122,16 @@ def _write_json(path: Path, payload: dict) -> None:
     with open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _external_modes_hash(cfg: dict) -> dict:
+    """``{"external_modes_sha256": ...}``, the sha256 of the external mode
+    file's bytes, for a run that reads one (``config_sha256`` covers only its
+    path); empty otherwise."""
+    if "external_modes" not in cfg:
+        return {}
+    data = Path(cfg["external_modes"]).read_bytes()
+    return {"external_modes_sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _external_records(cfg: dict, labels: list[str]) -> dict:
@@ -234,6 +245,10 @@ def cmd_hom(args) -> int:
         "sigma1_us": sigma1 / 1e-6,
         "sigma2_us": sigma2 / 1e-6,
         "n_bins": n_bins,
+        "alias_period_us": alias_period / 1e-6,
+        "bins_per_inv_sigma": (n_bins - 1) / ((grid.omega_max - grid.omega_min)
+                                              * min(sigma1, sigma2)),
+        **_external_modes_hash(cfg),
     })
     finite = [v for v in curve.g2_values if not math.isnan(v)]
     dip = min(finite) if finite else math.nan
@@ -388,6 +403,7 @@ def cmd_dispersive(args) -> int:
         "sweep_type": sweep_type,
         "qubit_c_ant_fF": [q.c_ant / 1e-15 for q in qubits],
         "points": points,
+        **_external_modes_hash(cfg),
     }
     if sweep_type != "none":
         payload["n_flagged_points"] = sum(1 for p in points if p["flags"])

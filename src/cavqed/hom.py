@@ -25,7 +25,10 @@ linewidth Gamma = pi*(g1^2+g2^2) wide compared to the photon bandwidth.
 Only the phase exp(-i*omega*tau) depends on the delay: a curve computes the
 response and packet spectra once, and each delay only multiplies them by its
 own phase row, reduced on its own so its g2 is bitwise the same in any delay
-array.
+array.  The sums skip the bins where both packet weights are exactly zero (a
+Gaussian weight underflows to 0.0 beyond ~38.6/sigma from its centre): they
+run over the contiguous bins from the first to the last that either packet
+reaches, so only np.sum's grouping differs from summing the whole grid.
 
 Internally the global reference time t0 is fixed to 0; results are
 t0-invariant (a tested property, not a knob).  Proportionality constants
@@ -137,7 +140,9 @@ def _delay_sums(omegas: np.ndarray, taus: np.ndarray, plus: np.ndarray,
                 minus: np.ndarray) -> np.ndarray:
     """[sum(plus * exp(+i*omega*tau)), sum(minus * exp(-i*omega*tau))] for the 1-D
     ``taus``.  Each delay's phase row is reduced on its own with ``np.sum``, not
-    BLAS, so a delay's value does not depend on the other delays."""
+    BLAS, so a delay's value does not depend on the other delays.  ``_abc``
+    passes only the bins a packet reaches: the terms where both packet weights
+    are exactly zero are skipped."""
     sums = np.empty((2, taus.size), dtype=complex)
     for k, tau in enumerate(taus):
         phase = np.exp(1j * (tau * omegas))
@@ -151,17 +156,23 @@ def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacke
     """Coincidences A and detector singles B, C (g2 = A/(B*C)) for detectors at
     t0 and t0 + tau, for a scalar or an array ``tau``, from one response and one
     spectrum per packet.  ``"time_local"`` gives the sums the brute-force oracle
-    checks termwise; ``"integrated"`` the terms of :func:`g2_integrated`."""
+    checks termwise; ``"integrated"`` the terms of :func:`g2_integrated`.
+
+    Every sum skips the bins where both packet weights are exactly zero: the
+    response and all sums are evaluated only from the first to the last bin
+    where either weight is non-zero, since every term outside is exactly 0.0."""
     if normalization not in ("integrated", "time_local"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if pkt1.port != 1 or pkt2.port != 2:
         raise ValueError("pkt1 must enter port 1 and pkt2 port 2")
     # 1-D even for a scalar tau: numpy's complex scalar arithmetic rounds differently.
     taus = np.asarray(tau, dtype=float).reshape(-1)
-    om = grid.omegas
-    s_matrix = transfer_functions(resp, om)
     w1 = spectral_weights(pkt1, grid, t0)
     w2 = spectral_weights(pkt2, grid, t0)
+    reached = np.flatnonzero((w1 != 0) | (w2 != 0))
+    keep = slice(reached[0], reached[-1] + 1)
+    om, w1, w2 = grid.omegas[keep], w1[keep], w2[keep]
+    s_matrix = transfer_functions(resp, om)
     detect = np.exp(-1j * om * t0)
     # Packet 2's delay phase cancels detector 2's on the reflected path (a2).
     a1 = w1 * s_matrix[:, 0, 0] * detect    # photon 1 reflected into detector 1

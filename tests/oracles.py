@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check fast closed forms.
 
-These deliberately avoid the algebraic factorizations of the production code:
-the two-photon coincidence pieces are evaluated by explicit enumeration of the
-(output port, frequency bin) mode pairs, O(n_bins^2) in memory and time, and
-greedy labeling visits every (bare state, eigenvector) pair.  The textbook
+The two-photon coincidence pieces are evaluated by explicit enumeration of the
+(output port, frequency bin) mode pairs, O(n_bins^2) in memory and time,
+avoiding the algebraic factorizations of the production code; the closed-form
+sums are also kept in their plain form, over every bin of the grid.  Greedy
+labeling visits every (bare state, eigenvector) pair.  The textbook
 estimates at the end (harmonic transmon limits, the two-level chi, the
 capacitive divider) are scale and sign references for the exact results.
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 from cavqed.constants import HBAR
 from cavqed.errors import DispersiveInvalidError
+from cavqed.hom import spectral_weights
 from cavqed.ports import transfer_functions
 
 
@@ -47,6 +49,49 @@ def brute_force_abc(resp, w1, w2, omegas, tau, t0=0.0):
     return (float(abs(amplitude) ** 2),
             float(np.vdot(v1, v1).real),
             float(np.vdot(v2, v2).real))
+
+
+def _full_grid_delay_sums(omegas, taus, plus, minus):
+    """[sum(plus * exp(+i*omega*tau)), sum(minus * exp(-i*omega*tau))], one
+    ``np.sum`` per delay over every bin."""
+    sums = np.empty((2, taus.size), dtype=complex)
+    for k, tau in enumerate(taus):
+        phase = np.exp(1j * (tau * omegas))
+        sums[0, k] = np.sum(plus * phase)
+        sums[1, k] = np.sum(minus * np.conj(phase))
+    return sums
+
+
+def full_grid_abc(resp, pkt1, pkt2, tau, grid, t0=0.0, normalization="time_local"):
+    """(A, B, C) of :func:`cavqed.hom._abc` summed over every bin of ``grid``,
+    including the bins where both packet weights are exactly zero."""
+    if normalization not in ("integrated", "time_local"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if pkt1.port != 1 or pkt2.port != 2:
+        raise ValueError("pkt1 must enter port 1 and pkt2 port 2")
+    taus = np.asarray(tau, dtype=float).reshape(-1)
+    om = grid.omegas
+    s_matrix = transfer_functions(resp, om)
+    w1 = spectral_weights(pkt1, grid, t0)
+    w2 = spectral_weights(pkt2, grid, t0)
+    detect = np.exp(-1j * om * t0)
+    a1 = w1 * s_matrix[:, 0, 0] * detect
+    b1 = w2 * s_matrix[:, 0, 1] * detect
+    a2 = w2 * s_matrix[:, 1, 1] * detect
+    b2 = w1 * s_matrix[:, 1, 0] * detect
+    if normalization == "time_local":
+        trans_1, trans_2 = _full_grid_delay_sums(om, taus, b1, b2)
+        refl_1, refl_2 = np.sum(a1), np.sum(a2)
+        norm1, norm2 = np.sum(np.abs(w1)**2), np.sum(np.abs(w2)**2)
+        abc = (np.abs(refl_1 * refl_2 + trans_1 * trans_2)**2,
+               np.abs(trans_1)**2 * norm1 + np.abs(refl_1)**2 * norm2,
+               np.abs(trans_2)**2 * norm2 + np.abs(refl_2)**2 * norm1)
+    else:
+        y, x = _full_grid_delay_sums(om, taus, a2 * np.conj(b2), a1 * np.conj(b1))
+        p1, q1, p2, q2 = (np.sum(np.abs(amp)**2) for amp in (a1, b1, a2, b2))
+        abc = (p1 * p2 + q1 * q2 + 2.0 * np.real(x * y),
+               np.full(taus.shape, p1 + q1), np.full(taus.shape, p2 + q2))
+    return tuple(v.reshape(np.shape(tau)) for v in abc)
 
 
 def jaynes_cummings_doublet(omega01, omega_cavity, g):

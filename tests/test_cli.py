@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -95,6 +97,19 @@ class TestHom:
         assert sidecar["g1_sqrt_rad_per_s"] != 0.0
         npt.assert_allclose(sidecar["g2_sqrt_rad_per_s"],
                             -sidecar["g1_sqrt_rad_per_s"], rtol=1e-12)
+        # the linewidth sets the default grid's span, 40 FWHM, so the alias
+        # period is 2*pi*(n_bins - 1)/span
+        span = 40 * 2 * math.pi * 1e6 * sidecar["bandwidth_fwhm_MHz"]
+        npt.assert_allclose(sidecar["alias_period_us"], 2 * math.pi * 2047 / span / 1e-6,
+                            rtol=1e-12)
+        assert sidecar["alias_period_us"] > 2 * 5.0
+        npt.assert_allclose(sidecar["bins_per_inv_sigma"],
+                            sidecar["alias_period_us"] / (2 * math.pi * 2.5), rtol=1e-12)
+        # the narrower packet (the larger 1/sigma) sets it; the span is unchanged
+        _, narrower = self.run_quick(tmp_path, "--override", "hom.sigma2_us=1.5")
+        assert narrower["alias_period_us"] == sidecar["alias_period_us"]
+        npt.assert_allclose(narrower["bins_per_inv_sigma"],
+                            sidecar["bins_per_inv_sigma"] * 2.5 / 1.5, rtol=1e-12)
         values = [float(r[1]) for r in rows]
         taus = [float(r[0]) for r in rows]
         assert taus[2] == 0.0
@@ -414,6 +429,49 @@ def _external_config(tmp_path):
     path = tmp_path / "ext.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+class TestExternalModesHash:
+    """``config_sha256`` hashes the ``external_modes`` path as written;
+    ``external_modes_sha256`` hashes the file's bytes."""
+
+    RECORD = cq.ExternalModeRecord(mode_label="TE101", f_GHz=7.55,
+                                   e_fields=((0.0, 656.0, 0.0),),
+                                   g_port1=-994.4, g_port2=994.4)
+    ARGV = {"hom": ["hom", "--config", HOM, "--override", "hom.n_tau=5",
+                    "--override", "hom.n_bins=2048", "--override", "hom.tau_max_us=5.0"],
+            "dispersive": ["dispersive", "--config", TABLE1, "--override", "dispersive.M=3",
+                           "--override", "dispersive.cavity_modes=[TE101]"]}
+
+    def run(self, tmp_path, command, *extra):
+        out = tmp_path / ("h.csv" if command == "hom" else "d.json")
+        assert cli.main(self.ARGV[command] + ["--out", str(out), *extra]) == 0
+        return json.loads(out.with_suffix(".json").read_text())  # hom: the sidecar
+
+    @pytest.mark.parametrize("command", ["hom", "dispersive"])
+    def test_hash_follows_content_not_path(self, tmp_path, command):
+        paths = [tmp_path / name / "modes.csv" for name in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            cq.write_external_modes(str(path), [self.RECORD])
+        first, second = (self.run(tmp_path, command, "--override", f"external_modes={path}")
+                         for path in paths)
+        assert first["config_sha256"] != second["config_sha256"]
+        assert (first["external_modes_sha256"] == second["external_modes_sha256"]
+                == hashlib.sha256(paths[0].read_bytes()).hexdigest())
+        edited = tmp_path / "edited.csv"
+        cq.write_external_modes(str(edited),
+                                [dataclasses.replace(self.RECORD, f_GHz=7.56)])
+        inode = paths[0].stat().st_ino
+        paths[0].write_bytes(edited.read_bytes())  # same path, same inode
+        assert paths[0].stat().st_ino == inode
+        again = self.run(tmp_path, command, "--override", f"external_modes={paths[0]}")
+        assert again["config_sha256"] == first["config_sha256"]
+        assert again["external_modes_sha256"] != first["external_modes_sha256"]
+
+    @pytest.mark.parametrize("command", ["hom", "dispersive"])
+    def test_absent_without_external_modes(self, tmp_path, command):
+        assert "external_modes_sha256" not in self.run(tmp_path, command)
 
 
 class TestOutputFiles:

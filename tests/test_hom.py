@@ -258,6 +258,89 @@ class TestHomCurve:
                          normalization=normalization)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("normalization", ["time_local", "integrated"])
+    @pytest.mark.parametrize("offsets, sigma2, n_bins, t0", [
+        ((0.0, 0.0), SIGMA, 8192, 0.0),               # hom_default packets
+        ((0.0, 0.0), 0.6 * SIGMA, 8192, 0.0),         # mismatched widths
+        ((3.0, -2.0), SIGMA, 8192, 0.0),              # off-centre packets
+        ((0.0, 0.0), SIGMA, 16384, 0.0),
+        ((1.0, -1.0), 0.6 * SIGMA, 8192, 1.3 * SIGMA),
+    ])
+    def test_trimmed_sums_match_full_grid(self, response, normalization, offsets,
+                                          sigma2, n_bins, t0):
+        # The sums skip the bins where both packet weights underflow to 0.0;
+        # only np.sum's pairwise grouping may differ from summing every bin.
+        # A, B, C are O(1) in the integrated normalization, but the time-local
+        # A reaches ~5e3, where one ulp is ~1e-12: their bound scales with them.
+        center = cq.balanced_center_frequency(response)
+        pkt1 = cq.PhotonWavepacket(center + offsets[0] / SIGMA, SIGMA, port=1)
+        pkt2 = cq.PhotonWavepacket(center + offsets[1] / sigma2, sigma2, port=2)
+        grid = cq.default_grid(response, sigma2, n_bins=n_bins, center=center)
+        reached = (cq.spectral_weights(pkt1, grid) != 0) | (cq.spectral_weights(pkt2, grid) != 0)
+        assert np.count_nonzero(reached) < grid.n_bins / 4
+        taus = np.linspace(-10 * SIGMA, 10 * SIGMA, 21)
+        actual = _abc(response, pkt1, pkt2, taus, grid, t0=t0, normalization=normalization)
+        expected = oracles.full_grid_abc(response, pkt1, pkt2, taus, grid, t0=t0,
+                                         normalization=normalization)
+        for value, reference in zip(actual, expected):
+            npt.assert_allclose(value, reference, rtol=0,
+                                atol=1e-14 * max(1.0, np.max(np.abs(reference))))
+        npt.assert_allclose(actual[0] / (actual[1] * actual[2]),
+                            expected[0] / (expected[1] * expected[2]), rtol=0, atol=1e-14)
+        curve = cq.hom_curve(response, pkt1, pkt2, taus, grid, normalization=normalization)
+        a, b, c = oracles.full_grid_abc(response, pkt1, pkt2, taus, grid,
+                                        normalization=normalization)
+        npt.assert_allclose(curve.g2_values, a / (b * c), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("normalization", ["time_local", "integrated"])
+    def test_broadband_packet_sums_every_bin_bitwise(self, response, normalization):
+        # default_grid spans +-20/sigma here, so no weight underflows and the
+        # trimmed sums are the full-grid sums, bit for bit.
+        sigma = SIGMA / 1000
+        center = cq.balanced_center_frequency(response)
+        pkt1 = cq.PhotonWavepacket(center, sigma, port=1)
+        pkt2 = cq.PhotonWavepacket(center, sigma, port=2)
+        grid = cq.default_grid(response, sigma, n_bins=4096, center=center)
+        npt.assert_allclose(grid.omega_max - grid.omega_min, 40 / sigma, rtol=1e-12)
+        taus = np.linspace(-10 * sigma, 10 * sigma, 21)
+        actual = _abc(response, pkt1, pkt2, taus, grid, t0=0.7 * sigma,
+                      normalization=normalization)
+        expected = oracles.full_grid_abc(response, pkt1, pkt2, taus, grid, t0=0.7 * sigma,
+                                         normalization=normalization)
+        for value, reference in zip(actual, expected):
+            npt.assert_array_equal(value, reference)
+
+    @pytest.mark.parametrize("sigma, sigma2, n_bins, bound", [
+        (SIGMA, SIGMA, 8192, 600),                   # hom_default: tails underflow
+        (SIGMA, 0.6 * SIGMA, 8192, 900),             # packet 2 reaches further
+        (SIGMA / 1000, SIGMA / 1000, 4096, None),    # broadband: nothing underflows
+    ])
+    def test_response_evaluated_only_where_packets_reach(self, response, monkeypatch,
+                                                         sigma, sigma2, n_bins, bound):
+        center = cq.balanced_center_frequency(response)
+        pkt1 = cq.PhotonWavepacket(center, sigma, port=1)
+        pkt2 = cq.PhotonWavepacket(center, sigma2, port=2)
+        grid = cq.default_grid(response, sigma2, n_bins=n_bins, center=center)
+        seen = []
+
+        def recording(resp, omega):
+            seen.append(np.array(omega))
+            return cq.transfer_functions(resp, omega)
+
+        monkeypatch.setattr("cavqed.hom.transfer_functions", recording)
+        for normalization in ("integrated", "time_local"):
+            cq.hom_curve(response, pkt1, pkt2, [0.0, sigma], grid,
+                         normalization=normalization)
+        reached = ((cq.spectral_weights(pkt1, grid) != 0)
+                   | (cq.spectral_weights(pkt2, grid) != 0))
+        assert len(seen) == 2
+        for omega in seen:
+            if bound is None:
+                assert omega.size == grid.n_bins
+            else:
+                assert omega.size <= bound
+            assert np.isin(grid.omegas[reached], omega).all()
+
     def test_rejects_non_1d_delays(self, response, balanced):
         pkt1, pkt2, grid = balanced
         with pytest.raises(ValueError):
