@@ -303,13 +303,27 @@ def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
     return qubit
 
 
-def _evaluate_point(qubits, cavity_entries, m_levels, chi_qubit, chi_cavity, zeta_pair):
+def _field_table(cavity_entries):
+    """Memoized field lookup (mode index, qubit index, qubit) -> E vector at
+    the dipole center, keyed by (mode index, qubit index, DipoleSpec): over a
+    sweep, only a dipole that moves has its fields evaluated again."""
+    table = {}
+
+    def field_at(k: int, q: int, qubit: QubitInstance) -> np.ndarray:
+        key = (k, q, qubit.dipole)
+        if key not in table:
+            table[key] = cavity_entries[k][2](qubit, q)
+        return table[key]
+
+    return field_at
+
+
+def _evaluate_point(qubits, cavity_entries, field_at, basis, chi_qubit, chi_cavity,
+                    zeta_pair):
     couplings = CouplingMatrix(g=[
-        [transition_couplings(qubit, field_at(qubit, q), omega_k)[:m_levels - 1]
+        [transition_couplings(qubit, field_at(k, q, qubit), omega_k)[:basis.n_levels - 1]
          for q, qubit in enumerate(qubits)]
-        for _, omega_k, field_at in cavity_entries])
-    basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(cavity_entries),
-                        n_levels=m_levels)
+        for k, (_, omega_k, _) in enumerate(cavity_entries)])
     dressed = sector_spectrum(qubits, [entry[1] for entry in cavity_entries],
                               couplings, basis)
     res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,
@@ -389,9 +403,12 @@ def cmd_dispersive(args) -> int:
         raise ConfigError("position_grid sweeps need analytic modes "
                           "(external fields are fixed per site)")
     point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, omega_ref, m_levels)
+    field_at = _field_table(cavity_entries)
+    basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(cavity_entries),
+                        n_levels=m_levels)
     points = []
     for qubit_list, extra in point_inputs:
-        points.append({**_evaluate_point(qubit_list, cavity_entries, m_levels,
+        points.append({**_evaluate_point(qubit_list, cavity_entries, field_at, basis,
                                          chi_qubit, chi_cavity, zeta_pair), **extra})
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -133,6 +133,8 @@ def spectral_weights(pkt: PhotonWavepacket, grid: FrequencyGrid, t_ref: float = 
     norm = math.sqrt(float(env @ env))
     if norm == 0.0:
         raise ValueError("wavepacket has zero weight on the grid")
+    if t_ref == 0.0:  # the phase factor is exactly 1+0j
+        return (env / norm).astype(complex)
     return env / norm * np.exp(1j * om * t_ref)
 
 

@@ -24,15 +24,16 @@ The dispersive energies live in the sectors N <= 2, whose labels are the
 occupation tuples of total <= 2 with every entry below the local dimension:
 1 + S + S(S+1)/2 states for S = qubits + modes once n_levels >= 3, whatever
 n_levels is.  :func:`sector_spectrum` builds and diagonalizes only those
-blocks; :func:`assemble_hamiltonian` + :func:`dressed_spectrum` solve the
-whole product space and are the dense reference.
+blocks, each on its own; :func:`assemble_hamiltonian` + :func:`dressed_spectrum`
+solve the whole product space and are the dense reference.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +51,11 @@ FIELD_VARIATION_TOLERANCE = 0.05
 #: roundoff).
 FLAG_THRESHOLD = 0.5
 FLAG_BOUNDARY_SLACK = 1e-9
+
+#: Largest N = 2 block :func:`sector_spectrum` fills: 8,192 states make a
+#: 512 MiB float64 matrix, and ``eigh`` and the labeling hold several arrays
+#: of that size at once.
+MAX_SECTOR_STATES = 8192
 
 
 @dataclass(frozen=True)
@@ -387,6 +393,71 @@ def dressed_spectrum(hamiltonian: np.ndarray, basis: SystemBasis) -> DressedSpec
                            overlaps=overlaps)
 
 
+class _Sector(NamedTuple):
+    """One excitation-number block of a :class:`_SectorLayout`: the slots of
+    its labels in basis order, and its coupling entries in block-local
+    indices.  Entry i puts g[k[i], q[i], j[i]] * amplitude[i] at
+    (src[i], dst[i]) and at (dst[i], src[i]); amplitude is sqrt(n_k + 1)."""
+
+    rows: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    k: np.ndarray
+    q: np.ndarray
+    j: np.ndarray
+    amplitude: np.ndarray
+
+
+class _SectorLayout(NamedTuple):
+    """The labels of total occupation <= 2 in basis order, their occupations
+    [label, site], and the blocks N = 0, 1, 2."""
+
+    labels: tuple[tuple[int, ...], ...]
+    occ: np.ndarray
+    sectors: tuple[_Sector, _Sector, _Sector]
+
+
+def _n2_sector_size(n_sites: int, n_levels: int) -> int:
+    """States of the N = 2 sector: one per pair of sites, plus one per site
+    holding both excitations when the local dimension allows it."""
+    return n_sites * (n_sites - 1) // 2 + (n_sites if n_levels >= 3 else 0)
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_layout(n_qubits: int, n_cavities: int, n_levels: int) -> _SectorLayout:
+    """Labels and coupling pattern of the sectors N <= 2, which depend only
+    on the shape of the basis.  Every term g |j><j+1| a_k^dag conserves N, so
+    each coupling entry lies inside one block.  The arrays are read-only:
+    every caller with the same shape shares them."""
+    n_sites = n_qubits + n_cavities
+    eye = np.eye(n_sites, dtype=int)
+    first, second = np.triu_indices(n_sites)
+    occ = np.vstack([np.zeros_like(eye[:1]), eye, eye[first] + eye[second]])
+    occ = occ[occ.max(axis=1) < n_levels]
+    occ = occ[np.lexsort(occ.T[::-1])]  # basis order: lexicographic
+    labels = tuple(map(tuple, occ.tolist()))
+    position = {label: i for i, label in enumerate(labels)}
+    # lower qubit q by one level, add one photon to mode k
+    src, q, k = np.nonzero((occ[:, :n_qubits, None] >= 1)
+                           & (occ[:, None, n_qubits:] + 1 < n_levels))
+    targets = occ[src] - eye[q] + eye[n_qubits + k]
+    dst = np.array([position[lbl] for lbl in map(tuple, targets.tolist())], dtype=int)
+    j = occ[src, q] - 1
+    amplitude = np.sqrt(occ[src, n_qubits + k] + 1.0)
+    n_exc = occ.sum(axis=1)
+    local = np.empty(len(occ), dtype=int)
+    sectors = []
+    for n in range(3):
+        rows = np.flatnonzero(n_exc == n)
+        local[rows] = np.arange(len(rows))
+        inside = n_exc[src] == n
+        sectors.append(_Sector(rows, local[src[inside]], local[dst[inside]], k[inside],
+                               q[inside], j[inside], amplitude[inside]))
+    for arr in (occ, *(a for sector in sectors for a in sector)):
+        arr.setflags(write=False)
+    return _SectorLayout(labels, occ, tuple(sectors))
+
+
 def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
                     cavity_omegas: Sequence[float],
                     couplings: CouplingMatrix,
@@ -397,49 +468,46 @@ def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
     Uses the terms of :func:`assemble_hamiltonian` on the labels of total
     occupation <= 2: the diagonal is the ground-referenced qubit levels plus
     sum_k omega_k n_k, and g[k,q,j] * sqrt(n_k + 1) couples (q = j+1, n_k)
-    with (q = j, n_k + 1).  Each sector's block is diagonalized on its own and
-    labeled by the same greedy rule as :func:`dressed_spectrum`, so an
-    eigenvector never mixes sectors.  ``energies`` holds each sector's
+    with (q = j, n_k + 1).  Each sector's block is filled and diagonalized on
+    its own and labeled by the same greedy rule as :func:`dressed_spectrum`,
+    so an eigenvector never mixes sectors.  ``energies`` holds each sector's
     eigenvalues in the slots of its labels; asking for a label of N > 2
-    raises ValueError.
+    raises ValueError.  A basis whose N = 2 block would exceed
+    :data:`MAX_SECTOR_STATES` raises ValueError before anything is allocated.
     """
     n_q, m = basis.n_qubits, basis.n_levels
     spectra = _checked_spectra(qubits, cavity_omegas, couplings, basis)
-    eye = np.eye(basis.n_sites, dtype=int)
-    first, second = np.triu_indices(basis.n_sites)
-    occ = np.vstack([np.zeros_like(eye[:1]), eye, eye[first] + eye[second]])
-    occ = occ[occ.max(axis=1) < m]
-    occ = occ[np.lexsort(occ.T[::-1])]  # basis order: lexicographic
-    labels = list(map(tuple, occ.tolist()))
-    position = {label: i for i, label in enumerate(labels)}
+    size = _n2_sector_size(basis.n_sites, m)
+    if size > MAX_SECTOR_STATES:
+        raise ValueError(
+            f"{basis.n_cavities} cavity mode(s) and {n_q} qubit(s) make an N = 2 "
+            f"block of {size} states ({size**2 * 8 / 2**20:.0f} MiB as float64); "
+            f"the sector solver holds at most {MAX_SECTOR_STATES} states: "
+            "use fewer cavity modes")
+    layout = _sector_layout(n_q, basis.n_cavities, m)
+    occ = layout.occ
     diag = np.zeros(len(occ))
     for q, spec in enumerate(spectra):
         local = np.asarray(spec.levels[:m], dtype=float) - spec.levels[0]
         diag = diag + local[occ[:, q]]
     for k, omega_k in enumerate(cavity_omegas):
         diag = diag + omega_k * occ[:, n_q + k]
-    h = np.diag(diag)  # block diagonal in N
-    # lower qubit q by one level, add one photon to mode k
-    src, q, k = np.nonzero((occ[:, :n_q, None] >= 1) & (occ[:, None, n_q:] + 1 < m))
-    targets = occ[src] - eye[q] + eye[n_q + k]
-    dst = [position[lbl] for lbl in map(tuple, targets.tolist())]
-    h[src, dst] = couplings.g[k, q, occ[src, q] - 1] * np.sqrt(occ[src, n_q + k] + 1.0)
-    h[dst, src] = h[src, dst]
     energies = np.empty(len(occ))
     eigen = np.empty(len(occ), dtype=int)
     overlaps = np.empty(len(occ))
-    n_exc = occ.sum(axis=1)
-    for n in range(3):
-        rows = np.flatnonzero(n_exc == n)
-        values, vectors = np.linalg.eigh(h[np.ix_(rows, rows)])
+    for rows, src, dst, k, q, j, amplitude in layout.sectors:
+        block = np.diag(diag[rows])
+        block[src, dst] = couplings.g[k, q, j] * amplitude
+        block[dst, src] = block[src, dst]
+        values, vectors = np.linalg.eigh(block)
         overlap2 = np.abs(vectors)**2
         assigned = _greedy_assign(overlap2)
         energies[rows] = values
         eigen[rows] = rows[assigned]
         overlaps[rows] = overlap2[np.arange(len(rows)), assigned]
     return DressedSpectrum(basis=basis, energies=energies,
-                           eigen_index=dict(zip(labels, eigen.tolist())),
-                           overlaps=dict(zip(labels, overlaps.tolist())))
+                           eigen_index=dict(zip(layout.labels, eigen.tolist())),
+                           overlaps=dict(zip(layout.labels, overlaps.tolist())))
 
 
 @dataclass(frozen=True)
@@ -469,8 +537,51 @@ def _label(basis: SystemBasis, **occ: int) -> tuple[int, ...]:
     return tuple(label)
 
 
+class _Readout(NamedTuple):
+    """The labels :func:`dispersive_params` reads.  ``q2`` is None below three
+    levels; ``pair`` is (qa=1, qb=1, qa=qb=1), or None without a qubit pair;
+    ``used`` holds every one of them once, in reading order."""
+
+    ground: tuple[int, ...]
+    q1: tuple[int, ...]
+    c1: tuple[int, ...]
+    q1c1: tuple[int, ...]
+    q2: tuple[int, ...] | None
+    pair: tuple[tuple[int, ...], ...] | None
+    used: tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _readout_labels(basis: SystemBasis, qubit: int, cavity: int,
+                    qubit_pair: tuple[int, int] | None) -> _Readout:
+    """The read-out labels of one (basis, qubit, cavity, pair); ValueError
+    for an index outside the basis."""
+    if not 0 <= qubit < basis.n_qubits:
+        raise ValueError(f"qubit index {qubit} outside basis")
+    if not 0 <= cavity < basis.n_cavities:
+        raise ValueError(f"cavity index {cavity} outside basis")
+    q, c = f"q{qubit}", f"c{cavity}"
+    ground = _label(basis)
+    q1, c1 = _label(basis, **{q: 1}), _label(basis, **{c: 1})
+    q1c1 = _label(basis, **{q: 1, c: 1})
+    used = [ground, q1, c1, q1c1]
+    q2 = None
+    if basis.n_levels >= 3:
+        q2 = _label(basis, **{q: 2})
+        used.append(q2)
+    pair = None
+    if qubit_pair is not None:
+        qa, qb = qubit_pair
+        if qa == qb or not all(0 <= x < basis.n_qubits for x in (qa, qb)):
+            raise ValueError(f"invalid qubit pair {qubit_pair}")
+        pair = (_label(basis, **{f"q{qa}": 1}), _label(basis, **{f"q{qb}": 1}),
+                _label(basis, **{f"q{qa}": 1, f"q{qb}": 1}))
+        used += pair
+    return _Readout(ground, q1, c1, q1c1, q2, pair, tuple(dict.fromkeys(used)))
+
+
 def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
-                      qubit_pair: tuple[int, int] | None = None,
+                      qubit_pair: Sequence[int] | None = None,
                       strict: bool = True) -> DispersiveResult:
     """Dispersive parameters from ground-referenced dressed energies:
 
@@ -484,45 +595,28 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
     :class:`DispersiveInvalidError` naming it; with ``strict=False`` the values
     are returned and the flagged labels reported in ``flags``.
     """
-    basis = dressed.basis
-    if not 0 <= qubit < basis.n_qubits:
-        raise ValueError(f"qubit index {qubit} outside basis")
-    if not 0 <= cavity < basis.n_cavities:
-        raise ValueError(f"cavity index {cavity} outside basis")
-    q, c = f"q{qubit}", f"c{cavity}"
-    used = [_label(basis), _label(basis, **{q: 1}), _label(basis, **{c: 1}),
-            _label(basis, **{q: 1, c: 1})]
-    if basis.n_levels >= 3:
-        used.append(_label(basis, **{q: 2}))
-    if qubit_pair is not None:
-        qa, qb = qubit_pair
-        if qa == qb or not all(0 <= x < basis.n_qubits for x in (qa, qb)):
-            raise ValueError(f"invalid qubit pair {qubit_pair}")
-        used += [_label(basis, **{f"q{qa}": 1}), _label(basis, **{f"q{qb}": 1}),
-                 _label(basis, **{f"q{qa}": 1, f"q{qb}": 1})]
-    used = tuple(dict.fromkeys(used))
-    flags = tuple(lbl for lbl in used if dressed.is_flagged(lbl))
+    labels = _readout_labels(dressed.basis, qubit, cavity,
+                             None if qubit_pair is None else tuple(qubit_pair))
+    flags = tuple(lbl for lbl in labels.used if dressed.is_flagged(lbl))
     if strict and flags:
         raise DispersiveInvalidError(
             f"dressed state(s) {flags} have best overlap <= "
             f"{FLAG_THRESHOLD:g}; labels are unreliable "
             "(pass strict=False to get values anyway)")
-    e0 = dressed.energy(_label(basis))
-    e_q1 = dressed.energy(_label(basis, **{q: 1}))
-    e_c1 = dressed.energy(_label(basis, **{c: 1}))
-    e_q1c1 = dressed.energy(_label(basis, **{q: 1, c: 1}))
+    e0 = dressed.energy(labels.ground)
+    e_q1 = dressed.energy(labels.q1)
+    e_c1 = dressed.energy(labels.c1)
+    e_q1c1 = dressed.energy(labels.q1c1)
     omega01 = e_q1 - e0
     omega_cavity = e_c1 - e0
     chi = e_q1c1 - e_q1 - e_c1 + e0
     alpha = None
-    if basis.n_levels >= 3:
-        alpha = dressed.energy(_label(basis, **{q: 2})) - 2.0 * e_q1 + e0
+    if labels.q2 is not None:
+        alpha = dressed.energy(labels.q2) - 2.0 * e_q1 + e0
     zeta = None
-    if qubit_pair is not None:
-        qa, qb = qubit_pair
-        zeta = (dressed.energy(_label(basis, **{f"q{qa}": 1, f"q{qb}": 1}))
-                - dressed.energy(_label(basis, **{f"q{qa}": 1}))
-                - dressed.energy(_label(basis, **{f"q{qb}": 1})) + e0)
+    if labels.pair is not None:
+        a1, b1, ab = labels.pair
+        zeta = dressed.energy(ab) - dressed.energy(a1) - dressed.energy(b1) + e0
     return DispersiveResult(omega01=omega01, alpha=alpha, omega_cavity=omega_cavity,
                             chi=chi, zeta=zeta, flags=flags,
-                            min_label_overlap=min(map(dressed.overlap, used)))
+                            min_label_overlap=min(map(dressed.overlap, labels.used)))

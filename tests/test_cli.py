@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy.testing as npt
@@ -13,10 +14,10 @@ import yaml
 
 import cavqed as cq
 import cavqed.cli as cli
-from cavqed.cavity import eval_fields, make_mode
+from cavqed.cavity import eval_fields, make_mode, mode_list
 from cavqed.config import (build_dipole, build_geometry, build_probes,
                            parse_mode_label, rad_per_s_to_ghz)
-from cavqed.errors import ConvergenceError
+from cavqed.errors import ConvergenceError, FieldVariationWarning
 from cavqed.perturbation import perturbed_frequency_tip
 from cavqed.ports import port_coupling
 from cavqed.system import FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD
@@ -229,6 +230,60 @@ class TestDispersive:
         assert payload["n_flagged_points"] == 0
         assert payload["average_chi_MHz"] < 0.0
         assert {"x_mm", "z_mm"} <= set(payload["points"][0])
+
+    @pytest.fixture
+    def field_calls(self, monkeypatch):
+        calls = []
+        evaluate = cli.dipole_center_field
+
+        def counted(dipole, mode, geom):
+            calls.append((dipole.center, mode.index))
+            return evaluate(dipole, mode, geom)
+
+        monkeypatch.setattr(cli, "dipole_center_field", counted)
+        return calls
+
+    def test_fields_evaluated_once_per_dipole_and_mode(self, tmp_path, field_calls):
+        # an L_J sweep moves no dipole: one evaluation per (qubit, mode)
+        assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out",
+                         str(tmp_path / "lj.json"), "--override", "dispersive.M=3",
+                         "--override", "dispersive.sweep.n_points=7"]) == 0
+        assert len(field_calls) == 2 * 3 == len(set(field_calls))
+        # a position grid moves the swept dipole: one per point per mode
+        field_calls.clear()
+        assert cli.main(["dispersive", "--config", CHI_MAP, "--out",
+                         str(tmp_path / "grid.json"), "--override", "dispersive.M=3",
+                         "--override", "dispersive.sweep.n_x=3",
+                         "--override", "dispersive.sweep.n_z=3"]) == 0
+        assert len(field_calls) == 9 * 2 == len(set(field_calls))
+
+    def test_chi_map_point_independent_of_sweep(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        assert cli.main(["dispersive", "--config", CHI_MAP, "--out", str(grid)]) == 0
+        point = json.loads(grid.read_text())["points"][51]
+        out = tmp_path / "one.json"
+        assert cli.main(["dispersive", "--config", CHI_MAP, "--out", str(out),
+                         "--override", "dispersive.sweep={type: none}",
+                         "--override", "qubits.0.dipole.center_mm="
+                         f"[{point['x_mm']!r}, 5.08, {point['z_mm']!r}]"]) == 0
+        alone = json.loads(out.read_text())["points"][0]
+        # bit for bit: every float key, the flags and the overlap
+        assert {**alone, "x_mm": point["x_mm"], "z_mm": point["z_mm"]} == point
+
+    def test_oversized_mode_set_refused(self, tmp_path, capsys):
+        geom = build_geometry(yaml.safe_load(Path(TABLE1).read_text()))
+        labels = [mode.index.label for mode in mode_list(geom, 40e9)]
+        assert len(labels) == 177
+        out = tmp_path / "many.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FieldVariationWarning)
+            rc = cli.main(["dispersive", "--config", TABLE1, "--out", str(out),
+                           "--override", "dispersive.M=3", "--override",
+                           f"dispersive.cavity_modes=[{', '.join(labels)}]"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "177 cavity mode(s)" in err and "15931 states" in err
+        assert not out.exists()
 
     def test_inductance_sweep(self, tmp_path):
         out = tmp_path / "lj.json"

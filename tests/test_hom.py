@@ -73,6 +73,17 @@ class TestSpectralWeights:
         npt.assert_allclose(shifted, base * np.exp(1j * grid.omegas * 3e-7),
                             rtol=1e-12)
 
+    @pytest.mark.parametrize("t_ref", [0.0, -0.0])
+    def test_zero_reference_time_is_bitwise_the_phase_form(self, balanced, t_ref):
+        # at t_ref = 0 the phase factor exp(i*omega*t_ref) is exactly 1+0j
+        for pkt in balanced[:2]:
+            om = balanced[2].omegas
+            env = np.exp(-0.5 * (pkt.sigma * (om - pkt.omega_in))**2)
+            phase_form = env / math.sqrt(float(env @ env)) * np.exp(1j * om * t_ref)
+            weights = cq.spectral_weights(pkt, balanced[2], t_ref=t_ref)
+            assert weights.dtype == phase_form.dtype
+            assert weights.tobytes() == phase_form.tobytes()
+
     def test_coverage_warning(self, response):
         grid = cq.default_grid(response, SIGMA)
         outside = cq.PhotonWavepacket(

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import cavqed as cq
 from cavqed.errors import DispersiveInvalidError, FieldVariationWarning
-from cavqed.system import FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD, _greedy_assign
+from cavqed.system import (FLAG_BOUNDARY_SLACK, FLAG_THRESHOLD, MAX_SECTOR_STATES,
+                           _greedy_assign, _n2_sector_size, _sector_layout)
 
 import oracles
 from conftest import C_LOAD
@@ -355,6 +356,57 @@ class TestSectorSpectrum:
         assert list(dressed.eigen_index) == expected
         assert len(expected) == size == len(dressed.energies)
         assert sorted(dressed.eigen_index.values()) == list(range(size))
+        layout = _sector_layout(n_qubits, n_cavities, n_levels)
+        assert list(layout.labels) == expected
+        assert layout.occ.tolist() == [list(lbl) for lbl in expected]
+        assert len(layout.sectors[2].rows) == _n2_sector_size(n_qubits + n_cavities,
+                                                              n_levels)
+
+    @pytest.mark.parametrize("n_qubits, n_cavities, n_levels", [
+        (1, 2, 6), (2, 3, 3), (1, 2, 15), (1, 1, 2), (2, 2, 2)])
+    def test_layout_entries_are_the_coupling_terms(self, n_qubits, n_cavities, n_levels):
+        # entry (src, dst, k, q, j, amplitude) of a block lowers qubit q from
+        # j+1 to j and adds one photon to mode k; together the entries are
+        # every such pair of labels of total <= 2, each once
+        layout = _sector_layout(n_qubits, n_cavities, n_levels)
+        labels = layout.labels
+        expected = set()
+        for a in labels:
+            for q in range(n_qubits):
+                for k in range(n_cavities):
+                    b = list(a)
+                    b[q] -= 1
+                    b[n_qubits + k] += 1
+                    if a[q] >= 1 and tuple(b) in labels:
+                        expected.add((a, tuple(b), k, q, a[q] - 1,
+                                      math.sqrt(a[n_qubits + k] + 1)))
+        found = set()
+        for n, sector in enumerate(layout.sectors):
+            block = [labels[i] for i in sector.rows]
+            assert block == [lbl for lbl in labels if sum(lbl) == n]
+            for src, dst, k, q, j, amp in zip(*(a.tolist() for a in sector[1:])):
+                found.add((block[src], block[dst], k, q, j, amp))
+            assert len(sector.src) == len(set(zip(sector.src.tolist(),
+                                                  sector.dst.tolist())))
+        assert found == expected
+        assert not layout.occ.flags.writeable
+
+    def test_oversized_n2_block_refused_before_allocation(self, monkeypatch):
+        # 1 qubit + 177 modes at M = 3: 15,931 states in N = 2, a 1.9 GiB
+        # block; the refusal comes before the layout or any block is built
+        monkeypatch.setattr(cq.system, "_sector_layout", None)
+        n_modes, n_levels = 177, 3
+        spec = cq.TransmonSpectrum(params=cq.TransmonParams(E_C=1e-24, E_J=1e-22),
+                                   levels=(0.0, TWO_PI * 6e9, TWO_PI * 11.7e9),
+                                   charge_elements=(-1j, -1j))
+        basis = cq.SystemBasis(n_qubits=1, n_cavities=n_modes, n_levels=n_levels)
+        g = np.zeros((n_modes, 1, n_levels - 1))
+        with pytest.raises(ValueError, match=r"177 cavity mode\(s\).*15931 states"):
+            cq.sector_spectrum([spec], [TWO_PI * 7.5e9] * n_modes,
+                               cq.CouplingMatrix(g=g), basis)
+        # the 96-mode truncation (4,753 states) stays within the limit
+        assert _n2_sector_size(1 + 96, n_levels) == 4753 <= MAX_SECTOR_STATES
+        assert _n2_sector_size(1 + 177, n_levels) == 15931 > MAX_SECTOR_STATES
 
     def test_label_outside_sectors_rejected(self, reference_system,
                                             dressed_reference):
@@ -553,6 +605,9 @@ class TestDispersiveParams:
         rev = cq.dispersive_params(dressed, qubit_pair=(1, 0))
         assert fwd.zeta is not None
         assert fwd.zeta == rev.zeta
+        assert cq.dispersive_params(dressed, qubit_pair=[0, 1]) == fwd
+        with pytest.raises(ValueError, match="invalid qubit pair"):
+            cq.dispersive_params(dressed, qubit_pair=[1, 1])
 
 
 class TestTwoLevelEstimate:
