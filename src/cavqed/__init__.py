@@ -19,9 +19,8 @@ from .perturbation import (PerturbationResult, perturbed_frequency_quadrature,
 from .ports import (PortCoupling, ScatteringResponse, half_power_bandwidth,
                     port_coupling, transfer_functions, two_port_response)
 from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
-                     QubitInstance, SystemBasis, assemble_hamiltonian,
-                     coupling_matrix, dipole_center_field, dispersive_params,
-                     dressed_spectrum, qubit_cavity_coupling, receiving_voltage,
+                     QubitInstance, SystemBasis, coupling_matrix,
+                     dipole_center_field, dispersive_params, receiving_voltage,
                      receiving_voltage_line_integral, sector_spectrum,
                      transition_couplings, validate_qubit_placement)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,

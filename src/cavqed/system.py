@@ -1,5 +1,5 @@
-"""Qubit-cavity composite: antenna pickup, coupling rates, truncated
-Hamiltonian assembly, dressed-state labeling, and dispersive parameters.
+"""Qubit-cavity composite: antenna pickup, coupling rates, the dressed
+spectrum of the low excitation sectors, and dispersive parameters.
 
 Coupling chain for each (cavity mode k, qubit q, transition j -> j+1):
 
@@ -8,24 +8,26 @@ Coupling chain for each (cavity mode k, qubit q, transition j -> j+1):
     g_kj  = 2e * |<j|n|j+1>| * sqrt(omega_k / (2*eps0*hbar)) * V_t
 
 with E_k the unit-normalized mode field.  All couplings are real (the -i
-phase of the charge matrix elements is a removable gauge), so the assembled
-rotating-wave Hamiltonian is a real symmetric matrix in the bare product
-basis; energies are angular frequencies (rad/s).
+phase of the charge matrix elements is a removable gauge), so the
+rotating-wave Hamiltonian
 
-Basis ordering is qubits first, then cavity modes, each truncated to the same
-local dimension; labels are tuples (q_0, ..., q_{nq-1}, c_0, ..., c_{nc-1}).
-Dressed states are labeled by greedy maximum-overlap assignment and flagged
-when the winning overlap is not above 1/2 (hybridization too strong for the
-label to mean anything).
+    H = sum_q sum_j E_qj |j><j|_q + sum_k omega_k a_k^dag a_k
+        + sum_{k,q,j} g[k,q,j] (|j><j+1|_q a_k^dag + h.c.)
 
-Every coupling term g |j><j+1| a^dag + h.c. conserves the total excitation
-number N (sum of all occupations), so the Hamiltonian is block diagonal in N.
-The dispersive energies live in the sectors N <= 2, whose labels are the
-occupation tuples of total <= 2 with every entry below the local dimension:
-1 + S + S(S+1)/2 states for S = qubits + modes once n_levels >= 3, whatever
-n_levels is.  :func:`sector_spectrum` builds and diagonalizes only those
-blocks, each on its own; :func:`assemble_hamiltonian` + :func:`dressed_spectrum`
-solve the whole product space and are the dense reference.
+is a real symmetric matrix in the bare product basis; energies are angular
+frequencies (rad/s).  Basis ordering is qubits first, then cavity modes, each
+truncated to the same local dimension; labels are tuples
+(q_0, ..., q_{nq-1}, c_0, ..., c_{nc-1}).
+
+Every coupling term conserves the total excitation number N (sum of all
+occupations), so H is block diagonal in N.  The dispersive energies live in
+the sectors N <= 2, whose labels are the occupation tuples of total <= 2 with
+every entry below the local dimension: 1 + S + S(S+1)/2 states for
+S = qubits + modes once n_levels >= 3, whatever n_levels is.
+:func:`sector_spectrum` builds and diagonalizes only those blocks, each on
+its own.  Dressed states are labeled by greedy maximum-overlap assignment and
+flagged when the winning overlap is not above 1/2 (hybridization too strong
+for the label to mean anything).
 """
 from __future__ import annotations
 
@@ -109,15 +111,6 @@ class SystemBasis:
     @property
     def n_sites(self) -> int:
         return self.n_qubits + self.n_cavities
-
-    @property
-    def dim(self) -> int:
-        return self.n_levels**self.n_sites
-
-    def labels(self):
-        """All occupation tuples in row-major (last site fastest) order, so the
-        k-th label is the k-th bare product state."""
-        return np.ndindex(*((self.n_levels,) * self.n_sites))
 
     def index_of(self, label: Sequence[int]) -> int:
         label = tuple(int(x) for x in label)
@@ -210,15 +203,6 @@ def transition_couplings(qubit: QubitInstance, e_center, omega_k: float) -> np.n
     return 2.0 * E_CHARGE * element * math.sqrt(omega_k / (2.0 * EPS0 * HBAR)) * v_t
 
 
-def qubit_cavity_coupling(qubit: QubitInstance, mode: CavityMode,
-                          geom: CavityGeometry, j: int) -> float:
-    """Coupling rate g (rad/s) of qubit transition j -> j+1 to the mode."""
-    if not 0 <= j < len(qubit.spectrum.charge_elements):
-        raise ValueError(f"transition index {j} outside available levels")
-    e_center = dipole_center_field(qubit.dipole, mode, geom)
-    return float(transition_couplings(qubit, e_center, mode.omega)[j])
-
-
 def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode],
                     geom: CavityGeometry, n_levels: int) -> CouplingMatrix:
     """All g[k, q, j] for j = 0..n_levels-2; requires each qubit spectrum to
@@ -235,69 +219,13 @@ def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode]
     return CouplingMatrix(g=g)
 
 
-def _embed(op: np.ndarray, site: int, n_sites: int, n_levels: int) -> np.ndarray:
-    """Kronecker-embed a local operator at ``site`` (identity elsewhere)."""
-    result = np.eye(1)
-    for s in range(n_sites):
-        result = np.kron(result, op if s == site else np.eye(n_levels))
-    return result
-
-
-def _checked_spectra(qubits: Sequence[QubitInstance | TransmonSpectrum],
-                     cavity_omegas: Sequence[float], couplings: CouplingMatrix,
-                     basis: SystemBasis) -> list[TransmonSpectrum]:
-    """The qubit spectra, after checking that the inputs match the basis."""
-    n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
-    if len(qubits) != n_q or len(cavity_omegas) != n_c:
-        raise ValueError("qubit/cavity counts must match the basis")
-    if couplings.g.shape != (n_c, n_q, m - 1):
-        raise ValueError(f"couplings shape {couplings.g.shape} does not match "
-                         f"basis ({n_c}, {n_q}, {m - 1})")
-    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
-    for q, spec in enumerate(spectra):
-        if len(spec.levels) < m:
-            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
-                             f"basis needs {m}")
-    return spectra
-
-
-def assemble_hamiltonian(qubits: Sequence[QubitInstance | TransmonSpectrum],
-                         cavity_omegas: Sequence[float],
-                         couplings: CouplingMatrix,
-                         basis: SystemBasis) -> np.ndarray:
-    """Rotating-wave Hamiltonian (real symmetric, rad/s) in the bare product
-    basis.
-
-    Bare terms: each qubit's ground-referenced levels (truncated) and each
-    cavity's omega_k * a^dag a.  Coupling terms: for every (cavity k, qubit q),
-    sum_j g[k,q,j] * (|j><j+1| a_k^dag + h.c.).
-    """
-    n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
-    spectra = _checked_spectra(qubits, cavity_omegas, couplings, basis)
-    h = np.zeros((basis.dim, basis.dim))
-    lower_cav = np.diag(np.sqrt(np.arange(1, m)), 1)  # annihilation operator a
-    number_cav = lower_cav.T @ lower_cav
-    for q, spec in enumerate(spectra):
-        h_local = np.diag(np.array(spec.levels[:m]) - spec.levels[0])
-        h += _embed(h_local, q, basis.n_sites, m)
-    for k, omega_k in enumerate(cavity_omegas):
-        h += omega_k * _embed(number_cav, n_q + k, basis.n_sites, m)
-    for k in range(n_c):
-        for q in range(n_q):
-            sigma_lower = np.diag(couplings.g[k, q], 1)  # sum_j g_j |j><j+1|
-            term = (_embed(sigma_lower, q, basis.n_sites, m)
-                    @ _embed(lower_cav.T, n_q + k, basis.n_sites, m))
-            h += term + term.T
-    return h
-
-
 @dataclass(frozen=True, eq=False)
 class DressedSpectrum:
-    """Eigenvalues labeled by bare product states via greedy maximum overlap.
+    """Eigenvalues labeled by bare product states via greedy maximum overlap,
+    as :func:`sector_spectrum` returns them.
 
     ``eigen_index`` and ``overlaps`` hold the solved labels in basis order:
-    every basis label for :func:`dressed_spectrum`, the labels of the sectors
-    N <= 2 for :func:`sector_spectrum`."""
+    the labels of the sectors N <= 2."""
 
     basis: SystemBasis
     energies: np.ndarray
@@ -374,25 +302,6 @@ def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
     return bare_assigned
 
 
-def dressed_spectrum(hamiltonian: np.ndarray, basis: SystemBasis) -> DressedSpectrum:
-    """Diagonalize the whole product space and label every basis state by
-    greedy maximum overlap (:func:`_greedy_assign`); quality is recorded per
-    label and exposed through ``is_flagged``/``flagged``."""
-    if hamiltonian.shape != (basis.dim, basis.dim):
-        raise ValueError("hamiltonian dimension does not match the basis")
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    overlap2 = np.abs(vectors)**2  # [bare index, eigen index]
-    bare_assigned = _greedy_assign(overlap2)
-    eigen_index = {}
-    overlaps = {}
-    for i, label in enumerate(basis.labels()):
-        eig = int(bare_assigned[i])
-        eigen_index[tuple(label)] = eig
-        overlaps[tuple(label)] = float(overlap2[i, eig])
-    return DressedSpectrum(basis=basis, energies=energies, eigen_index=eigen_index,
-                           overlaps=overlaps)
-
-
 class _Sector(NamedTuple):
     """One excitation-number block of a :class:`_SectorLayout`: the slots of
     its labels in basis order, and its coupling entries in block-local
@@ -465,26 +374,35 @@ def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
     """Dressed spectrum of the excitation-number sectors N <= 2 only, the
     sectors of every state :func:`dispersive_params` reads.
 
-    Uses the terms of :func:`assemble_hamiltonian` on the labels of total
+    Uses the terms of H (module docstring) on the labels of total
     occupation <= 2: the diagonal is the ground-referenced qubit levels plus
     sum_k omega_k n_k, and g[k,q,j] * sqrt(n_k + 1) couples (q = j+1, n_k)
     with (q = j, n_k + 1).  Each sector's block is filled and diagonalized on
-    its own and labeled by the same greedy rule as :func:`dressed_spectrum`,
-    so an eigenvector never mixes sectors.  ``energies`` holds each sector's
-    eigenvalues in the slots of its labels; asking for a label of N > 2
-    raises ValueError.  A basis whose N = 2 block would exceed
-    :data:`MAX_SECTOR_STATES` raises ValueError before anything is allocated.
+    its own and labeled by :func:`_greedy_assign`, so an eigenvector never
+    mixes sectors.  ``energies`` holds each sector's eigenvalues in the slots
+    of its labels; asking for a label of N > 2 raises ValueError.  Inputs
+    that do not match the basis, and a basis whose N = 2 block would exceed
+    :data:`MAX_SECTOR_STATES`, raise ValueError before anything is allocated.
     """
-    n_q, m = basis.n_qubits, basis.n_levels
-    spectra = _checked_spectra(qubits, cavity_omegas, couplings, basis)
+    n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
+    if len(qubits) != n_q or len(cavity_omegas) != n_c:
+        raise ValueError("qubit/cavity counts must match the basis")
+    if couplings.g.shape != (n_c, n_q, m - 1):
+        raise ValueError(f"couplings shape {couplings.g.shape} does not match "
+                         f"basis ({n_c}, {n_q}, {m - 1})")
+    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
+    for q, spec in enumerate(spectra):
+        if len(spec.levels) < m:
+            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
+                             f"basis needs {m}")
     size = _n2_sector_size(basis.n_sites, m)
     if size > MAX_SECTOR_STATES:
         raise ValueError(
-            f"{basis.n_cavities} cavity mode(s) and {n_q} qubit(s) make an N = 2 "
+            f"{n_c} cavity mode(s) and {n_q} qubit(s) make an N = 2 "
             f"block of {size} states ({size**2 * 8 / 2**20:.0f} MiB as float64); "
             f"the sector solver holds at most {MAX_SECTOR_STATES} states: "
             "use fewer cavity modes")
-    layout = _sector_layout(n_q, basis.n_cavities, m)
+    layout = _sector_layout(n_q, n_c, m)
     occ = layout.occ
     diag = np.zeros(len(occ))
     for q, spec in enumerate(spectra):

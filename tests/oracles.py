@@ -4,7 +4,10 @@ The two-photon coincidence pieces are evaluated by explicit enumeration of the
 (output port, frequency bin) mode pairs, O(n_bins^2) in memory and time,
 avoiding the algebraic factorizations of the production code; the closed-form
 sums are also kept in their plain form, over every bin of the grid.  Greedy
-labeling visits every (bare state, eigenvector) pair.  The textbook
+labeling visits every (bare state, eigenvector) pair.  The dense dispersive
+reference assembles the rotating-wave Hamiltonian on the whole truncated
+product space with Kronecker products and diagonalizes it in one piece; it
+shares no fill code with the sector solver it checks.  The textbook
 estimates at the end (harmonic transmon limits, the two-level chi, the
 capacitive divider) are scale and sign references for the exact results.
 """
@@ -16,6 +19,7 @@ from cavqed.constants import HBAR
 from cavqed.errors import DispersiveInvalidError
 from cavqed.hom import spectral_weights
 from cavqed.ports import transfer_functions
+from cavqed.system import DressedSpectrum, QubitInstance, _greedy_assign
 
 
 def brute_force_abc(resp, w1, w2, omegas, tau, t0=0.0):
@@ -100,6 +104,62 @@ def jaynes_cummings_doublet(omega01, omega_cavity, g):
     mean = 0.5 * (omega01 + omega_cavity)
     split = 0.5 * np.sqrt((omega01 - omega_cavity) ** 2 + 4.0 * g * g)
     return mean - split, mean + split
+
+
+def product_labels(basis):
+    """Every occupation tuple of ``basis`` in row-major (last site fastest)
+    order, so the i-th label is the i-th bare product state."""
+    return [tuple(lbl) for lbl in np.ndindex(*(basis.n_levels,) * basis.n_sites)]
+
+
+def _embed(ops, n_sites, n_levels):
+    """Kronecker product over all sites of the local operators ``ops``
+    {site: matrix}, with the identity at every other site."""
+    result = np.eye(1)
+    for s in range(n_sites):
+        result = np.kron(result, ops.get(s, np.eye(n_levels)))
+    return result
+
+
+def assemble_hamiltonian(qubits, cavity_omegas, couplings, basis):
+    """Rotating-wave Hamiltonian (real symmetric, rad/s) on the whole product
+    space of ``basis``: each qubit's ground-referenced levels, each mode's
+    omega_k * a^dag a, and for every (cavity k, qubit q)
+    sum_j g[k,q,j] * (|j><j+1| a_k^dag + h.c.), each coupling term one
+    Kronecker product of its two local operators."""
+    n_q, m, n_sites = basis.n_qubits, basis.n_levels, basis.n_sites
+    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
+    dim = m**n_sites
+    h = np.zeros((dim, dim))
+    lower_cav = np.diag(np.sqrt(np.arange(1, m)), 1)  # annihilation operator a
+    for q, spec in enumerate(spectra):
+        h_local = np.diag(np.array(spec.levels[:m]) - spec.levels[0])
+        h += _embed({q: h_local}, n_sites, m)
+    for k, omega_k in enumerate(cavity_omegas):
+        h += omega_k * _embed({n_q + k: lower_cav.T @ lower_cav}, n_sites, m)
+    for k in range(basis.n_cavities):
+        for q in range(n_q):
+            sigma_lower = np.diag(couplings.g[k, q], 1)  # sum_j g_j |j><j+1|
+            term = _embed({q: sigma_lower, n_q + k: lower_cav.T}, n_sites, m)
+            h += term + term.T
+    return h
+
+
+def dressed_spectrum(hamiltonian, basis):
+    """Diagonalize the whole product space and label every basis state by
+    greedy maximum overlap (``cavqed.system._greedy_assign``, which
+    :func:`greedy_assign` checks)."""
+    dim = basis.n_levels**basis.n_sites
+    if hamiltonian.shape != (dim, dim):
+        raise ValueError("hamiltonian dimension does not match the basis")
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    overlap2 = np.abs(vectors)**2  # [bare index, eigen index]
+    bare_assigned = _greedy_assign(overlap2)
+    labels = product_labels(basis)
+    return DressedSpectrum(
+        basis=basis, energies=energies,
+        eigen_index=dict(zip(labels, bare_assigned.tolist())),
+        overlaps=dict(zip(labels, overlap2[np.arange(dim), bare_assigned].tolist())))
 
 
 def greedy_assign(overlap2):

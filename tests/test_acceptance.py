@@ -12,14 +12,17 @@ import math
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
 
 import cavqed as cq
 import cavqed.cli as cli
 from cavqed.hom import _abc
+from cavqed.system import _readout_labels
 
 import oracles
 from conftest import ACCEPTANCE_LINES, C_LOAD, L_J, make_probe
@@ -37,7 +40,9 @@ def report(number: int, passed: bool, details: str) -> None:
 
 def build_reference_stack(m_levels):
     """Fresh two-mode, one-qubit reference chain (no fixture reuse, so the
-    runtime budgets below cover the full computation)."""
+    runtime budgets below cover the full computation), solved by the dense
+    oracle on the whole M**3 product space: the sector solver would solve the
+    same N <= 2 blocks at every M, so criterion 5 needs the dense one."""
     geom = cq.CavityGeometry(a=22.86e-3, b=10.16e-3, d=40e-3)
     probes = [make_probe(geom, 10e-3, "bottom"), make_probe(geom, 30e-3, "top")]
     modes = []
@@ -56,9 +61,9 @@ def build_reference_stack(m_levels):
                              c_ant=c_ant, c_load=C_LOAD)
     couplings = cq.coupling_matrix([qubit], modes, geom, n_levels=m_levels)
     basis = cq.SystemBasis(n_qubits=1, n_cavities=2, n_levels=m_levels)
-    h = cq.assemble_hamiltonian([qubit], [m.omega for m in modes],
-                                couplings, basis)
-    return cq.dispersive_params(cq.dressed_spectrum(h, basis))
+    h = oracles.assemble_hamiltonian([qubit], [m.omega for m in modes],
+                                     couplings, basis)
+    return cq.dispersive_params(oracles.dressed_spectrum(h, basis))
 
 
 def test_criterion_01_mode_frequencies():
@@ -226,9 +231,9 @@ def test_criterion_09_dressed_doublet():
         g = TWO_PI * rng.uniform(10e6, 50e6)
         spec = cq.TransmonSpectrum(params=params, levels=(0.0, omega01),
                                    charge_elements=(-1j,))
-        h = cq.assemble_hamiltonian([spec], [omega_cavity],
-                                    cq.CouplingMatrix(g=np.array([[[g]]])), basis)
-        dressed = cq.dressed_spectrum(h, basis)
+        h = oracles.assemble_hamiltonian([spec], [omega_cavity],
+                                         cq.CouplingMatrix(g=np.array([[[g]]])), basis)
+        dressed = oracles.dressed_spectrum(h, basis)
         lower, upper = oracles.jaynes_cummings_doublet(omega01, omega_cavity, g)
         e0 = dressed.energy((0, 0))
         e_qubit = dressed.energy((1, 0)) - e0
@@ -302,3 +307,46 @@ def test_criterion_10_zz_sweep(tmp_path):
         assert [1, 1, 0, 0, 0] in point["flags"], (
             f"label (1,1,0,0,0) not flagged at the zeta sign change bisected "
             f"to L_J = {l_nh!r} nH (flags {point['flags']})")
+
+
+def test_gap_flags_match_dense_oracle(tmp_path, monkeypatch):
+    """At both zeta gaps that criterion 10 bisects to, the dense oracle
+    (M = 3, 243 states) flags the same read-out labels as the sector solver
+    that the CLI ran, on the very inputs the CLI passed it."""
+    out = tmp_path / "zz.json"
+    assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    gaps = [bisect_zeta_gap(tmp_path, a["L_J_nH"], b["L_J_nH"], a["zeta_MHz"])
+            for a, b in zip(points, points[1:]) if a["zeta_MHz"] * b["zeta_MHz"] < 0]
+    assert len(gaps) == 2
+    readout = yaml.safe_load(Path(ZZ_SWEEP).read_text())["dispersive"]
+    readout = {"qubit": readout["chi"]["qubit"], "cavity": readout["chi"]["cavity"],
+               "qubit_pair": readout["zeta_pair"], "strict": False}
+    solves = []
+
+    def captured(*args):
+        dressed = cq.sector_spectrum(*args)
+        solves.append((args, dressed))
+        return dressed
+
+    monkeypatch.setattr(cli, "sector_spectrum", captured)
+    for l_nh, point in gaps:
+        solves.clear()
+        assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out),
+                         "--override", "dispersive.sweep={type: none}",
+                         "--override", f"qubits.1.L_J_nH={l_nh!r}"]) == 0
+        assert json.loads(out.read_text())["points"][0] == point
+        [(args, sector)] = solves
+        basis = args[3]
+        dense = oracles.dressed_spectrum(oracles.assemble_hamiltonian(*args), basis)
+        assert len(dense.energies) == 3**5
+        from_sector = cq.dispersive_params(sector, **readout)
+        from_dense = cq.dispersive_params(dense, **readout)
+        assert [list(lbl) for lbl in from_sector.flags] == point["flags"]
+        assert from_dense.flags == from_sector.flags
+        assert (1, 1, 0, 0, 0) in from_dense.flags
+        npt.assert_allclose(dense.overlap((1, 1, 0, 0, 0)), 0.4998, atol=1e-4)
+        scale = float(np.max(np.abs(dense.energies)))
+        for label in _readout_labels(basis, readout["qubit"], readout["cavity"],
+                                     tuple(readout["qubit_pair"])).used:
+            assert abs(dense.energy(label) - sector.energy(label)) <= 1e-12 * scale

@@ -32,10 +32,23 @@ def dressed_reference(reference_system, geom):
     modes = reference_system["modes"]
     couplings = cq.coupling_matrix([qubit], modes, geom, n_levels=6)
     basis = cq.SystemBasis(n_qubits=1, n_cavities=2, n_levels=6)
-    h = cq.assemble_hamiltonian([qubit], [m.omega for m in modes],
-                                couplings, basis)
-    dressed = cq.dressed_spectrum(h, basis)
+    dressed = cq.sector_spectrum([qubit], [m.omega for m in modes],
+                                 couplings, basis)
     return basis, dressed, couplings
+
+
+@pytest.fixture(scope="module")
+def dense_hamiltonian(reference_system, dressed_reference):
+    """The dense oracle's matrix of the reference system (216 states)."""
+    basis, _, couplings = dressed_reference
+    return oracles.assemble_hamiltonian([reference_system["qubit"]],
+                                        [m.omega for m in reference_system["modes"]],
+                                        couplings, basis)
+
+
+@pytest.fixture(scope="module")
+def dense_reference(dressed_reference, dense_hamiltonian):
+    return oracles.dressed_spectrum(dense_hamiltonian, dressed_reference[0])
 
 
 class TestReceivingVoltage:
@@ -74,8 +87,8 @@ class TestCouplingRates:
         npt.assert_allclose(oracles.terminal_voltage(2.0, 1e-15, 3e-15), 0.5, rtol=1e-15)
 
     def test_reference_coupling(self, reference_system, geom):
-        g = cq.qubit_cavity_coupling(reference_system["qubit"],
-                                     reference_system["modes"][0], geom, j=0)
+        g = cq.coupling_matrix([reference_system["qubit"]],
+                               reference_system["modes"], geom, n_levels=2).g[0, 0, 0]
         npt.assert_allclose(g / (TWO_PI * 1e6), G01_MHZ, rtol=1e-10)
 
     def test_from_field_equivalence(self, reference_system, geom):
@@ -83,21 +96,17 @@ class TestCouplingRates:
         mode = reference_system["modes"][0]
         e_field, _ = cq.eval_fields(mode, geom, qubit.dipole.center)
         g_field = cq.transition_couplings(qubit, e_field, mode.omega)[0]
-        g_direct = cq.qubit_cavity_coupling(qubit, mode, geom, j=0)
+        g_direct = cq.coupling_matrix([qubit], [mode], geom, n_levels=2).g[0, 0, 0]
         npt.assert_allclose(g_field, g_direct, rtol=1e-12)
 
-    def test_transition_index_validated(self, reference_system, geom):
-        with pytest.raises(ValueError):
-            cq.qubit_cavity_coupling(reference_system["qubit"],
-                                     reference_system["modes"][0], geom, j=5)
-
     def test_coupling_matrix_shape(self, reference_system, geom):
-        couplings = cq.coupling_matrix([reference_system["qubit"]],
-                                       reference_system["modes"], geom,
+        qubit = reference_system["qubit"]
+        mode = reference_system["modes"][1]
+        couplings = cq.coupling_matrix([qubit], reference_system["modes"], geom,
                                        n_levels=4)
         assert couplings.g.shape == (2, 1, 3)
-        g_direct = cq.qubit_cavity_coupling(reference_system["qubit"],
-                                            reference_system["modes"][1], geom, 2)
+        g_direct = cq.transition_couplings(
+            qubit, cq.dipole_center_field(qubit.dipole, mode, geom), mode.omega)[2]
         npt.assert_allclose(couplings.g[1, 0, 2], g_direct, rtol=0)
 
     def test_coupling_matrix_needs_enough_elements(self, reference_system, geom):
@@ -129,11 +138,10 @@ class TestSystemBasis:
     def test_dimensions(self):
         basis = cq.SystemBasis(n_qubits=2, n_cavities=1, n_levels=3)
         assert basis.n_sites == 3
-        assert basis.dim == 27
 
     def test_label_order_and_round_trip(self):
         basis = cq.SystemBasis(n_qubits=1, n_cavities=1, n_levels=2)
-        labels = [tuple(lbl) for lbl in basis.labels()]
+        labels = oracles.product_labels(basis)
         assert labels == [(0, 0), (0, 1), (1, 0), (1, 1)]
         for i, label in enumerate(labels):
             assert basis.index_of(label) == i
@@ -153,31 +161,27 @@ class TestSystemBasis:
 
 
 class TestAssembleHamiltonian:
-    def test_symmetric_real(self, reference_system, dressed_reference, geom):
-        basis, _, couplings = dressed_reference
-        modes = reference_system["modes"]
-        h = cq.assemble_hamiltonian([reference_system["qubit"]],
-                                    [m.omega for m in modes], couplings, basis)
+    """The dense oracle's matrix (tests/oracles.py)."""
+
+    def test_symmetric_real(self, dense_hamiltonian):
+        h = dense_hamiltonian
         assert h.dtype == np.float64
         npt.assert_array_equal(h, h.T)
 
-    def test_diagonal_is_bare_energy(self, reference_system, dressed_reference):
-        basis, _, couplings = dressed_reference
+    def test_diagonal_is_bare_energy(self, reference_system, dressed_reference,
+                                     dense_hamiltonian):
+        basis, h = dressed_reference[0], dense_hamiltonian
         spectrum = reference_system["spectrum"]
         omegas = [m.omega for m in reference_system["modes"]]
-        h = cq.assemble_hamiltonian([reference_system["qubit"]], omegas,
-                                    couplings, basis)
         for label in ((0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 2, 5)):
             expected = (spectrum.levels[label[0]] + label[1] * omegas[0]
                         + label[2] * omegas[1])
             npt.assert_allclose(h[basis.index_of(label), basis.index_of(label)],
                                 expected, rtol=1e-12)
 
-    def test_coupling_entries(self, reference_system, dressed_reference):
+    def test_coupling_entries(self, dressed_reference, dense_hamiltonian):
         basis, _, couplings = dressed_reference
-        omegas = [m.omega for m in reference_system["modes"]]
-        h = cq.assemble_hamiltonian([reference_system["qubit"]], omegas,
-                                    couplings, basis)
+        h = dense_hamiltonian
         i = basis.index_of((1, 0, 0))
         npt.assert_allclose(h[i, basis.index_of((0, 1, 0))],
                             couplings.g[0, 0, 0], rtol=0)
@@ -189,27 +193,6 @@ class TestAssembleHamiltonian:
         # Excitation-number conservation: no matrix element between sectors.
         assert h[basis.index_of((1, 0, 0)), basis.index_of((0, 0, 0))] == 0.0
 
-    def test_accepts_bare_spectra(self, reference_system, dressed_reference):
-        basis, _, couplings = dressed_reference
-        omegas = [m.omega for m in reference_system["modes"]]
-        h_qubit = cq.assemble_hamiltonian([reference_system["qubit"]], omegas,
-                                          couplings, basis)
-        h_spec = cq.assemble_hamiltonian([reference_system["spectrum"]], omegas,
-                                         couplings, basis)
-        npt.assert_array_equal(h_qubit, h_spec)
-
-    def test_shape_validation(self, reference_system, dressed_reference):
-        basis, _, couplings = dressed_reference
-        omegas = [m.omega for m in reference_system["modes"]]
-        qubit = reference_system["qubit"]
-        with pytest.raises(ValueError):
-            cq.assemble_hamiltonian([qubit, qubit], omegas, couplings, basis)
-        with pytest.raises(ValueError):
-            cq.assemble_hamiltonian([qubit], omegas[:1], couplings, basis)
-        bad = cq.CouplingMatrix(g=np.zeros((1, 1, 5)))
-        with pytest.raises(ValueError):
-            cq.assemble_hamiltonian([qubit], omegas, bad, basis)
-
 
 def _jc_system(omega01, omega_cavity, g):
     params = cq.TransmonParams(E_C=1e-24, E_J=1e-22)
@@ -217,8 +200,7 @@ def _jc_system(omega01, omega_cavity, g):
                                charge_elements=(-1j,))
     basis = cq.SystemBasis(n_qubits=1, n_cavities=1, n_levels=2)
     couplings = cq.CouplingMatrix(g=np.array([[[g]]]))
-    h = cq.assemble_hamiltonian([spec], [omega_cavity], couplings, basis)
-    return basis, cq.dressed_spectrum(h, basis)
+    return basis, cq.sector_spectrum([spec], [omega_cavity], couplings, basis)
 
 
 class TestDressedSpectrum:
@@ -245,10 +227,10 @@ class TestDressedSpectrum:
         npt.assert_allclose(dressed.overlap((1, 0)), 0.5, rtol=1e-9)
         assert set(dressed.flagged()) == {(1, 0), (0, 1)}
 
-    def test_assignment_is_permutation(self, dressed_reference):
-        basis, dressed, _ = dressed_reference
-        eigens = sorted(dressed.eigen_index.values())
-        assert eigens == list(range(basis.dim))
+    def test_assignment_is_permutation(self, dense_reference):
+        # the dense oracle labels every product state with its own eigenvector
+        eigens = sorted(dense_reference.eigen_index.values())
+        assert eigens == list(range(6**3))
 
     def test_reference_overlaps_clean(self, dressed_reference):
         _, dressed, _ = dressed_reference
@@ -258,16 +240,15 @@ class TestDressedSpectrum:
     def test_deterministic(self, reference_system, dressed_reference):
         basis, dressed, couplings = dressed_reference
         omegas = [m.omega for m in reference_system["modes"]]
-        h = cq.assemble_hamiltonian([reference_system["qubit"]], omegas,
-                                    couplings, basis)
-        again = cq.dressed_spectrum(h, basis)
+        again = cq.sector_spectrum([reference_system["qubit"]], omegas,
+                                   couplings, basis)
         assert again.eigen_index == dressed.eigen_index
         npt.assert_array_equal(again.energies, dressed.energies)
 
     def test_dimension_validation(self):
         basis = cq.SystemBasis(n_qubits=1, n_cavities=1, n_levels=3)
         with pytest.raises(ValueError):
-            cq.dressed_spectrum(np.zeros((4, 4)), basis)
+            oracles.dressed_spectrum(np.zeros((4, 4)), basis)
 
     def test_label_validation(self, dressed_reference):
         _, dressed, _ = dressed_reference
@@ -324,19 +305,18 @@ class TestGreedyAssign:
 
 
 class TestSectorSpectrum:
-    def test_reference_values(self, reference_system, dressed_reference):
-        basis, dense, couplings = dressed_reference
-        omegas = [m.omega for m in reference_system["modes"]]
-        dressed = cq.sector_spectrum([reference_system["qubit"]], omegas,
-                                     couplings, basis)
-        result = cq.dispersive_params(dressed)
+    def test_reference_values(self, dressed_reference, dense_reference):
+        # the dense oracle reproduces the frozen values the sector solver is
+        # held to (TestDispersiveParams) and its smallest read-out overlap
+        result = cq.dispersive_params(dense_reference)
         npt.assert_allclose(result.omega01 / (TWO_PI * 1e9), DRESSED_F01_GHZ,
                             rtol=1e-10)
         npt.assert_allclose(result.alpha / (TWO_PI * 1e6), DRESSED_ALPHA_MHZ,
                             rtol=1e-10)
         npt.assert_allclose(result.chi / (TWO_PI * 1e6), CHI_MHZ, rtol=1e-9)
         assert result.flags == ()
-        assert result.min_label_overlap == cq.dispersive_params(dense).min_label_overlap
+        sector = cq.dispersive_params(dressed_reference[1])
+        assert sector.min_label_overlap == result.min_label_overlap
 
     @pytest.mark.parametrize("n_qubits, n_cavities, n_levels, size", [
         (1, 2, 6, 10), (2, 3, 3, 21), (1, 2, 15, 10), (1, 1, 2, 4), (2, 2, 2, 11)])
@@ -352,7 +332,7 @@ class TestSectorSpectrum:
                                      [TWO_PI * 7.5e9] * n_cavities,
                                      cq.CouplingMatrix(g=g), basis)
         # every occupation tuple of total <= 2 within the cutoff, basis order
-        expected = [tuple(lbl) for lbl in basis.labels() if sum(lbl) <= 2]
+        expected = [lbl for lbl in oracles.product_labels(basis) if sum(lbl) <= 2]
         assert list(dressed.eigen_index) == expected
         assert len(expected) == size == len(dressed.energies)
         assert sorted(dressed.eigen_index.values()) == list(range(size))
@@ -408,12 +388,8 @@ class TestSectorSpectrum:
         assert _n2_sector_size(1 + 96, n_levels) == 4753 <= MAX_SECTOR_STATES
         assert _n2_sector_size(1 + 177, n_levels) == 15931 > MAX_SECTOR_STATES
 
-    def test_label_outside_sectors_rejected(self, reference_system,
-                                            dressed_reference):
-        basis, _, couplings = dressed_reference
-        omegas = [m.omega for m in reference_system["modes"]]
-        dressed = cq.sector_spectrum([reference_system["qubit"]], omegas,
-                                     couplings, basis)
+    def test_label_outside_sectors_rejected(self, dressed_reference):
+        _, dressed, _ = dressed_reference
         for label in ((3, 0, 0), (1, 1, 1)):
             with pytest.raises(ValueError, match=r"excitation number 3.*N <= 2"):
                 dressed.energy(label)
@@ -436,13 +412,39 @@ class TestSectorSpectrum:
         g[1, 0] = TWO_PI * 50e6
         omegas = [TWO_PI * 7.5e9, omega]
         dressed = cq.sector_spectrum([spec], omegas, cq.CouplingMatrix(g=g), basis)
-        dense = cq.dressed_spectrum(
-            cq.assemble_hamiltonian([spec], omegas, cq.CouplingMatrix(g=g), basis),
+        dense = oracles.dressed_spectrum(
+            oracles.assemble_hamiltonian([spec], omegas, cq.CouplingMatrix(g=g), basis),
             basis)
         flagged = dressed.flagged()
         assert {(0, 0, 1), (1, 0, 0)} <= set(flagged)
         assert list(flagged) == sorted(flagged)
         assert flagged == tuple(lbl for lbl in dense.flagged() if sum(lbl) <= 2)
+
+    def test_accepts_bare_spectra(self, reference_system, dressed_reference):
+        basis, dressed, couplings = dressed_reference
+        omegas = [m.omega for m in reference_system["modes"]]
+        from_spec = cq.sector_spectrum([reference_system["spectrum"]], omegas,
+                                       couplings, basis)
+        npt.assert_array_equal(from_spec.energies, dressed.energies)
+        assert from_spec.eigen_index == dressed.eigen_index
+        assert from_spec.overlaps == dressed.overlaps
+
+    def test_shape_validation(self, reference_system, dressed_reference):
+        basis, _, couplings = dressed_reference
+        omegas = [m.omega for m in reference_system["modes"]]
+        qubit = reference_system["qubit"]
+        with pytest.raises(ValueError, match="counts must match"):
+            cq.sector_spectrum([qubit, qubit], omegas, couplings, basis)
+        with pytest.raises(ValueError, match="counts must match"):
+            cq.sector_spectrum([qubit], omegas[:1], couplings, basis)
+        bad = cq.CouplingMatrix(g=np.zeros((1, 1, 5)))
+        with pytest.raises(ValueError, match="couplings shape"):
+            cq.sector_spectrum([qubit], omegas, bad, basis)
+        two_level = cq.TransmonSpectrum(params=reference_system["params"],
+                                        levels=qubit.spectrum.levels[:2],
+                                        charge_elements=qubit.spectrum.charge_elements[:1])
+        with pytest.raises(ValueError, match="provides 2 levels; basis needs 6"):
+            cq.sector_spectrum([two_level], omegas, couplings, basis)
 
 
 # Relative distance (to the largest |energy|) below which two dense
@@ -488,10 +490,10 @@ def small_systems(draw):
 def _compare_sector_dense(spectra, omegas, couplings, basis) -> int:
     """Check the sector solver against the dense one; return how many
     unflagged labels of N >= 1 had their energy and overlap compared."""
-    dense = cq.dressed_spectrum(
-        cq.assemble_hamiltonian(spectra, omegas, couplings, basis), basis)
+    dense = oracles.dressed_spectrum(
+        oracles.assemble_hamiltonian(spectra, omegas, couplings, basis), basis)
     sector = cq.sector_spectrum(spectra, omegas, couplings, basis)
-    labels = [tuple(lbl) for lbl in basis.labels() if sum(lbl) <= 2]
+    labels = [lbl for lbl in oracles.product_labels(basis) if sum(lbl) <= 2]
     assert list(sector.eigen_index) == labels
     scale = float(np.max(np.abs(dense.energies)))
     nearest = np.min(np.abs(sector.energies[:, None] - dense.energies), axis=1)
@@ -598,9 +600,8 @@ class TestDispersiveParams:
         couplings = cq.coupling_matrix([qubit_a, qubit_b], [mode], geom,
                                        n_levels=3)
         basis = cq.SystemBasis(n_qubits=2, n_cavities=1, n_levels=3)
-        h = cq.assemble_hamiltonian([qubit_a, qubit_b], [mode.omega],
-                                    couplings, basis)
-        dressed = cq.dressed_spectrum(h, basis)
+        dressed = cq.sector_spectrum([qubit_a, qubit_b], [mode.omega],
+                                     couplings, basis)
         fwd = cq.dispersive_params(dressed, qubit_pair=(0, 1))
         rev = cq.dispersive_params(dressed, qubit_pair=(1, 0))
         assert fwd.zeta is not None
@@ -621,13 +622,12 @@ class TestTwoLevelEstimate:
         with pytest.raises(DispersiveInvalidError):
             oracles.two_level_chi_estimate(1.0, 1.0, -1.0)
 
-    def test_scale_against_full_model(self, reference_system, geom,
-                                      dressed_reference):
-        _, dressed, _ = dressed_reference
+    def test_scale_against_full_model(self, reference_system, dressed_reference):
+        _, dressed, couplings = dressed_reference
         full = cq.dispersive_params(dressed).chi
         spectrum = reference_system["spectrum"]
         mode = reference_system["modes"][0]
-        g0 = cq.qubit_cavity_coupling(reference_system["qubit"], mode, geom, 0)
+        g0 = couplings.g[0, 0, 0]
         estimate = oracles.two_level_chi_estimate(
             g0, spectrum.omega01 - mode.omega, spectrum.anharmonicity)
         ratio = estimate / full
