@@ -6,10 +6,9 @@ from .cavity import (CavityGeometry, CavityMode, CoaxProbe, ModeIndex,
                      coax_tem_profile, eval_fields, make_mode, mode_list,
                      resonant_frequency, wavenumbers)
 from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
-                     DispersiveInvalidError, ExternalModesError,
-                     FieldVariationWarning, GridCoverageWarning,
-                     OutOfValidityError, TransmonRegimeWarning,
-                     UndefinedCorrelationError)
+                     ExternalModesError, FieldVariationWarning,
+                     GridCoverageWarning, OutOfValidityError,
+                     TransmonRegimeWarning, UndefinedCorrelationError)
 from .external import ExternalModeRecord, read_external_modes, write_external_modes
 from .hom import (FrequencyGrid, HomCurve, PhotonWavepacket,
                   balanced_center_frequency, default_grid, g2, g2_integrated,

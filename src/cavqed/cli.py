@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -41,8 +42,7 @@ from .config import (apply_overrides, build_dipole, build_geometry, build_probes
                      rad_per_s_to_ghz, rad_per_s_to_mhz, us_to_s, validate_config,
                      SCHEMA_VERSION)
 from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
-                     DispersiveInvalidError, ExternalModesError, OutOfValidityError,
-                     UndefinedCorrelationError)
+                     ExternalModesError, OutOfValidityError, UndefinedCorrelationError)
 from .external import read_external_modes, write_external_modes
 from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
                   hom_curve, scan_balanced_center)
@@ -52,7 +52,7 @@ from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
 from .system import (QubitInstance, SystemBasis, CouplingMatrix,
                      dipole_center_field, dispersive_params, sector_spectrum,
                      transition_couplings, validate_qubit_placement)
-from .transmon import TransmonParams, dipole_capacitance, transmon_spectrum
+from .transmon import DipoleSpec, TransmonParams, dipole_capacitance, transmon_spectrum
 
 
 def _fmt(value: float) -> str:
@@ -260,8 +260,10 @@ def cmd_hom(args) -> int:
 # --- dispersive ----------------------------------------------------------------
 
 def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits: int):
-    """Per requested mode: (label, omega_k, field lookup) where the lookup maps a
-    QubitInstance and its index to the mode E vector at the dipole center."""
+    """(omega_k per requested mode, field lookup, mode source), where the
+    lookup maps (mode index k, qubit index q, DipoleSpec) to the mode's E
+    vector at the dipole center.  Analytic fields are memoized: over a sweep,
+    only a dipole that moves has its fields evaluated again."""
     if "external_modes" in cfg:
         by_label = _external_records(cfg, labels)
         unused = sorted(set(by_label) - set(labels))
@@ -274,18 +276,18 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
                 raise ConfigError(
                     f"external mode {rec.mode_label!r} has fields for "
                     f"{rec.n_sites} qubit site(s); configuration has {n_qubits}")
-        return ([(rec.mode_label, ghz_to_rad_per_s(rec.f_GHz),
-                  lambda qubit, q, fields=rec.e_fields: fields[q])
-                 for rec in chosen], "external")
+        return ([ghz_to_rad_per_s(rec.f_GHz) for rec in chosen],
+                lambda k, q, dipole: chosen[k].e_fields[q], "external")
     probes = build_probes(cfg)
-    entries = []
-    for lbl in labels:
-        mode = make_mode(parse_mode_label(lbl), geom)
-        omega_k = (perturbed_frequency_tip(mode, geom, probes).omega_perturbed
-                   if probes else mode.omega)
-        entries.append((lbl, omega_k, lambda qubit, q, mode=mode:
-                        dipole_center_field(qubit.dipole, mode, geom)))
-    return entries, "internal"
+    modes = [make_mode(parse_mode_label(lbl), geom) for lbl in labels]
+    omegas = [perturbed_frequency_tip(mode, geom, probes).omega_perturbed
+              if probes else mode.omega for mode in modes]
+
+    @functools.lru_cache(maxsize=None)
+    def field_at(k: int, q: int, dipole: DipoleSpec) -> np.ndarray:
+        return dipole_center_field(dipole, modes[k], geom)
+
+    return omegas, field_at, "internal"
 
 
 def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
@@ -303,31 +305,15 @@ def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
     return qubit
 
 
-def _field_table(cavity_entries):
-    """Memoized field lookup (mode index, qubit index, qubit) -> E vector at
-    the dipole center, keyed by (mode index, qubit index, DipoleSpec): over a
-    sweep, only a dipole that moves has its fields evaluated again."""
-    table = {}
-
-    def field_at(k: int, q: int, qubit: QubitInstance) -> np.ndarray:
-        key = (k, q, qubit.dipole)
-        if key not in table:
-            table[key] = cavity_entries[k][2](qubit, q)
-        return table[key]
-
-    return field_at
-
-
-def _evaluate_point(qubits, cavity_entries, field_at, basis, chi_qubit, chi_cavity,
-                    zeta_pair):
+def _evaluate_point(qubits, omegas, field_at, basis, chi_qubit, chi_cavity, zeta_pair):
     couplings = CouplingMatrix(g=[
-        [transition_couplings(qubit, field_at(k, q, qubit), omega_k)[:basis.n_levels - 1]
+        [transition_couplings(qubit, field_at(k, q, qubit.dipole),
+                              omega_k)[:basis.n_levels - 1]
          for q, qubit in enumerate(qubits)]
-        for k, (_, omega_k, _) in enumerate(cavity_entries)])
-    dressed = sector_spectrum(qubits, [entry[1] for entry in cavity_entries],
-                              couplings, basis)
+        for k, omega_k in enumerate(omegas)])
+    dressed = sector_spectrum([q.spectrum for q in qubits], omegas, couplings, basis)
     res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,
-                            qubit_pair=zeta_pair, strict=False)
+                            qubit_pair=zeta_pair)
     return {
         "omega01_GHz": rad_per_s_to_ghz(res.omega01),
         "alpha_MHz": (rad_per_s_to_mhz(res.alpha) if res.alpha is not None else None),
@@ -363,13 +349,9 @@ def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str
                 validate_qubit_placement(moved, geom)
                 swept.append((moved, {"x_mm": x / 1e-3, "z_mm": z / 1e-3}))
     elif sweep_type == "L_J":
-        sweep_cfg = cfg.get("dispersive", {}).get("sweep", {})
-        try:
-            start = float(sweep_cfg["start_nH"])
-            stop = float(sweep_cfg["stop_nH"])
-            n_points = int(sweep_cfg["n_points"])
-        except KeyError as exc:
-            raise ConfigError(f"L_J sweep needs {exc.args[0]!r}") from exc
+        start = float(get_setting(cfg, "dispersive.sweep.start_nH"))
+        stop = float(get_setting(cfg, "dispersive.sweep.stop_nH"))
+        n_points = int(get_setting(cfg, "dispersive.sweep.n_points"))
         for l_nh in np.linspace(start, stop, n_points).tolist():
             qubit_cfg = dict(cfg["qubits"][qi], L_J_nH=l_nh)
             swept.append((_build_qubit(qubit_cfg, geom, omega_ref, m_levels),
@@ -394,8 +376,8 @@ def cmd_dispersive(args) -> int:
         zeta_pair = [0, 1]
     if zeta_pair is not None:
         zeta_pair = (int(zeta_pair[0]), int(zeta_pair[1]))
-    cavity_entries, mode_source = _cavity_inputs(cfg, geom, labels, len(qubit_cfgs))
-    omega_ref = min(entry[1] for entry in cavity_entries)
+    omegas, field_at, mode_source = _cavity_inputs(cfg, geom, labels, len(qubit_cfgs))
+    omega_ref = min(omegas)
     qubits = [_build_qubit(qc, geom, omega_ref, m_levels) for qc in qubit_cfgs]
 
     sweep_type = str(get_setting(cfg, "dispersive.sweep.type"))
@@ -403,19 +385,17 @@ def cmd_dispersive(args) -> int:
         raise ConfigError("position_grid sweeps need analytic modes "
                           "(external fields are fixed per site)")
     point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, omega_ref, m_levels)
-    field_at = _field_table(cavity_entries)
-    basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(cavity_entries),
-                        n_levels=m_levels)
+    basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(omegas), n_levels=m_levels)
     points = []
     for qubit_list, extra in point_inputs:
-        points.append({**_evaluate_point(qubit_list, cavity_entries, field_at, basis,
+        points.append({**_evaluate_point(qubit_list, omegas, field_at, basis,
                                          chi_qubit, chi_cavity, zeta_pair), **extra})
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": sha,
         "mode_source": mode_source,
         "cavity_modes": [{"label": lbl, "f_GHz": rad_per_s_to_ghz(om)}
-                         for lbl, om, _ in cavity_entries],
+                         for lbl, om in zip(labels, omegas)],
         "M": m_levels,
         "sweep_type": sweep_type,
         "qubit_c_ant_fF": [q.c_ant / 1e-15 for q in qubits],
@@ -467,7 +447,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DegenerateResponseError, UndefinedCorrelationError,
-            DispersiveInvalidError, OutOfValidityError) as exc:
+            OutOfValidityError) as exc:
         print(f"error (degenerate physics): {exc}", file=sys.stderr)
         return 3
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:

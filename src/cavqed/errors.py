@@ -22,10 +22,6 @@ class ConvergenceError(RuntimeError):
     """A numerically computed quantity failed its built-in convergence check."""
 
 
-class DispersiveInvalidError(ValueError):
-    """A dispersive parameter requires a dressed level whose bare label is unreliable."""
-
-
 class ConfigError(ValueError):
     """Configuration file failed schema or semantic validation."""
 

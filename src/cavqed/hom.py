@@ -238,7 +238,8 @@ def hom_curve(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWave
     """Map the chosen correlation over a 1-D delay grid.
 
     ``normalization``: ``"integrated"`` (default; 0.5 tails, the conventional
-    plotted curve) or ``"time_local"`` (the strict A/(B*C) sums; tails -> 1).
+    plotted curve) or ``"time_local"`` (A/(B*C) at fixed detection times;
+    tails -> 1).
     Delays where a detector sees zero flux are NaN, not raised.
     """
     taus = np.asarray(taus, dtype=float)

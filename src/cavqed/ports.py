@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import C0, CavityGeometry, CavityMode, CoaxProbe, ModeIndex, coax_tem_profile, eval_fields
+from .cavity import CavityGeometry, CavityMode, CoaxProbe, ModeIndex, coax_tem_profile, eval_fields
+from .constants import C0
 from .errors import DegenerateResponseError
 from .perturbation import perturbed_frequency_tip
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .cavity import CavityGeometry, CavityMode, eval_fields
 from .constants import E_CHARGE, EPS0, HBAR
-from .errors import DispersiveInvalidError, FieldVariationWarning
+from .errors import FieldVariationWarning
 from .transmon import DipoleSpec, TransmonSpectrum
 
 #: Relative spread of the axial field over the dipole that triggers
@@ -221,40 +221,42 @@ def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode]
 
 @dataclass(frozen=True, eq=False)
 class DressedSpectrum:
-    """Eigenvalues labeled by bare product states via greedy maximum overlap,
-    as :func:`sector_spectrum` returns them.
+    """Dressed states labeled by bare product states via greedy maximum
+    overlap, as :func:`sector_spectrum` returns them.
 
-    ``eigen_index`` and ``overlaps`` hold the solved labels in basis order:
+    ``levels`` maps each solved label, in basis order, to its dressed energy
+    (rad/s) and the squared overlap of its eigenvector with the bare state:
     the labels of the sectors N <= 2."""
 
     basis: SystemBasis
-    energies: np.ndarray
-    eigen_index: dict = field(repr=False)
-    overlaps: dict = field(repr=False)
+    levels: dict = field(repr=False)
 
-    def _key(self, label: Sequence[int]) -> tuple[int, ...]:
-        key = tuple(int(x) for x in label)
-        if key not in self.eigen_index:
+    def _level(self, label: Sequence[int]) -> tuple[float, float]:
+        try:
+            return self.levels[label]
+        except (KeyError, TypeError):  # a miss, or an unhashable list/array
+            key = tuple(int(x) for x in label)
+            if key in self.levels:
+                return self.levels[key]
             self.basis.index_of(key)  # raises for a label outside the basis
             raise ValueError(
                 f"label {key} has excitation number {sum(key)}; this spectrum "
-                f"holds only the sectors N <= {max(map(sum, self.eigen_index))}")
-        return key
+                f"holds only the sectors N <= {max(map(sum, self.levels))}") from None
 
     def energy(self, label: Sequence[int]) -> float:
         """Dressed energy (rad/s) of the state labeled by ``label``."""
-        return float(self.energies[self.eigen_index[self._key(label)]])
+        return self._level(label)[0]
 
     def overlap(self, label: Sequence[int]) -> float:
         """Squared overlap of the labeled eigenvector with its bare state."""
-        return float(self.overlaps[self._key(label)])
+        return self._level(label)[1]
 
     def is_flagged(self, label: Sequence[int]) -> bool:
         return self.overlap(label) <= FLAG_THRESHOLD + FLAG_BOUNDARY_SLACK
 
     def flagged(self) -> tuple[tuple[int, ...], ...]:
         """Labels whose identification is unreliable, in basis order."""
-        return tuple(lbl for lbl in self.eigen_index if self.is_flagged(lbl))
+        return tuple(lbl for lbl in self.levels if self.is_flagged(lbl))
 
 
 def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
@@ -266,8 +268,9 @@ def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
     a pair when both members are still unassigned, so every bare state gets
     exactly one eigenvector.
 
-    A pair that is the only one above 1/2 in its row and in its column is the
-    strict maximum of both, so that visit accepts it whatever came before:
+    A pair that is the only one above 1/2 in its row and in its column
+    exceeds every other entry of both, so that visit accepts it whatever came
+    before:
     all such pairs are assigned at once, and only the remaining rows and
     columns go through the loop.  Where every bare state keeps most of its
     weight in one eigenvector, nothing remains.
@@ -367,7 +370,7 @@ def _sector_layout(n_qubits: int, n_cavities: int, n_levels: int) -> _SectorLayo
     return _SectorLayout(labels, occ, tuple(sectors))
 
 
-def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
+def sector_spectrum(spectra: Sequence[TransmonSpectrum],
                     cavity_omegas: Sequence[float],
                     couplings: CouplingMatrix,
                     basis: SystemBasis) -> DressedSpectrum:
@@ -379,18 +382,17 @@ def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
     sum_k omega_k n_k, and g[k,q,j] * sqrt(n_k + 1) couples (q = j+1, n_k)
     with (q = j, n_k + 1).  Each sector's block is filled and diagonalized on
     its own and labeled by :func:`_greedy_assign`, so an eigenvector never
-    mixes sectors.  ``energies`` holds each sector's eigenvalues in the slots
-    of its labels; asking for a label of N > 2 raises ValueError.  Inputs
-    that do not match the basis, and a basis whose N = 2 block would exceed
-    :data:`MAX_SECTOR_STATES`, raise ValueError before anything is allocated.
+    mixes sectors; asking the result for a label of N > 2 raises ValueError.
+    Inputs that do not match the basis, and a basis whose N = 2 block would
+    exceed :data:`MAX_SECTOR_STATES`, raise ValueError before anything is
+    allocated.
     """
     n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
-    if len(qubits) != n_q or len(cavity_omegas) != n_c:
+    if len(spectra) != n_q or len(cavity_omegas) != n_c:
         raise ValueError("qubit/cavity counts must match the basis")
     if couplings.g.shape != (n_c, n_q, m - 1):
         raise ValueError(f"couplings shape {couplings.g.shape} does not match "
                          f"basis ({n_c}, {n_q}, {m - 1})")
-    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
     for q, spec in enumerate(spectra):
         if len(spec.levels) < m:
             raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
@@ -411,7 +413,6 @@ def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
     for k, omega_k in enumerate(cavity_omegas):
         diag = diag + omega_k * occ[:, n_q + k]
     energies = np.empty(len(occ))
-    eigen = np.empty(len(occ), dtype=int)
     overlaps = np.empty(len(occ))
     for rows, src, dst, k, q, j, amplitude in layout.sectors:
         block = np.diag(diag[rows])
@@ -420,12 +421,10 @@ def sector_spectrum(qubits: Sequence[QubitInstance | TransmonSpectrum],
         values, vectors = np.linalg.eigh(block)
         overlap2 = np.abs(vectors)**2
         assigned = _greedy_assign(overlap2)
-        energies[rows] = values
-        eigen[rows] = rows[assigned]
+        energies[rows] = values[assigned]
         overlaps[rows] = overlap2[np.arange(len(rows)), assigned]
-    return DressedSpectrum(basis=basis, energies=energies,
-                           eigen_index=dict(zip(layout.labels, eigen.tolist())),
-                           overlaps=dict(zip(layout.labels, overlaps.tolist())))
+    return DressedSpectrum(basis, dict(zip(layout.labels,
+                                           zip(energies.tolist(), overlaps.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -445,62 +444,36 @@ class DispersiveResult:
     min_label_overlap: float
 
 
-def _label(basis: SystemBasis, **occ: int) -> tuple[int, ...]:
-    """Build an occupation label from keyword sites q0, q1, ..., c0, c1, ..."""
-    label = [0] * basis.n_sites
-    for key, value in occ.items():
-        kind, idx = key[0], int(key[1:])
-        site = idx if kind == "q" else basis.n_qubits + idx
-        label[site] = value
-    return tuple(label)
-
-
-class _Readout(NamedTuple):
-    """The labels :func:`dispersive_params` reads.  ``q2`` is None below three
-    levels; ``pair`` is (qa=1, qb=1, qa=qb=1), or None without a qubit pair;
-    ``used`` holds every one of them once, in reading order."""
-
-    ground: tuple[int, ...]
-    q1: tuple[int, ...]
-    c1: tuple[int, ...]
-    q1c1: tuple[int, ...]
-    q2: tuple[int, ...] | None
-    pair: tuple[tuple[int, ...], ...] | None
-    used: tuple[tuple[int, ...], ...]
-
-
 @functools.lru_cache(maxsize=64)
 def _readout_labels(basis: SystemBasis, qubit: int, cavity: int,
-                    qubit_pair: tuple[int, int] | None) -> _Readout:
-    """The read-out labels of one (basis, qubit, cavity, pair); ValueError
-    for an index outside the basis."""
+                    qubit_pair: tuple[int, int] | None) -> dict[str, tuple[int, ...]]:
+    """The labels :func:`dispersive_params` reads, by name, in reading order:
+    ground, q1, c1, q1c1, then q2 from three levels on, then a1, b1, ab for
+    a qubit pair (a, b).  ValueError for an index outside the basis."""
     if not 0 <= qubit < basis.n_qubits:
         raise ValueError(f"qubit index {qubit} outside basis")
     if not 0 <= cavity < basis.n_cavities:
         raise ValueError(f"cavity index {cavity} outside basis")
-    q, c = f"q{qubit}", f"c{cavity}"
-    ground = _label(basis)
-    q1, c1 = _label(basis, **{q: 1}), _label(basis, **{c: 1})
-    q1c1 = _label(basis, **{q: 1, c: 1})
-    used = [ground, q1, c1, q1c1]
-    q2 = None
+
+    def label(*sites: int) -> tuple[int, ...]:
+        """One excitation per listed site; qubits first, then modes."""
+        return tuple(sites.count(site) for site in range(basis.n_sites))
+
+    c = basis.n_qubits + cavity
+    labels = {"ground": label(), "q1": label(qubit), "c1": label(c),
+              "q1c1": label(qubit, c)}
     if basis.n_levels >= 3:
-        q2 = _label(basis, **{q: 2})
-        used.append(q2)
-    pair = None
+        labels["q2"] = label(qubit, qubit)
     if qubit_pair is not None:
         qa, qb = qubit_pair
         if qa == qb or not all(0 <= x < basis.n_qubits for x in (qa, qb)):
             raise ValueError(f"invalid qubit pair {qubit_pair}")
-        pair = (_label(basis, **{f"q{qa}": 1}), _label(basis, **{f"q{qb}": 1}),
-                _label(basis, **{f"q{qa}": 1, f"q{qb}": 1}))
-        used += pair
-    return _Readout(ground, q1, c1, q1c1, q2, pair, tuple(dict.fromkeys(used)))
+        labels.update(a1=label(qa), b1=label(qb), ab=label(qa, qb))
+    return labels
 
 
 def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
-                      qubit_pair: Sequence[int] | None = None,
-                      strict: bool = True) -> DispersiveResult:
+                      qubit_pair: Sequence[int] | None = None) -> DispersiveResult:
     """Dispersive parameters from ground-referenced dressed energies:
 
         omega01 = E(q=1) - E(0)
@@ -509,32 +482,17 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
         chi     = E(q=1,c=1) - E(q=1) - E(c=1) + E(0)
         zeta    = E(qa=1,qb=1) - E(qa=1) - E(qb=1) + E(0)   (when a pair is given)
 
-    With ``strict`` (default) a flagged constituent state raises
-    :class:`DispersiveInvalidError` naming it; with ``strict=False`` the values
-    are returned and the flagged labels reported in ``flags``.
+    Values are returned whatever the labels' overlaps; the flagged labels are
+    reported in ``flags`` and the smallest overlap in ``min_label_overlap``.
     """
     labels = _readout_labels(dressed.basis, qubit, cavity,
                              None if qubit_pair is None else tuple(qubit_pair))
-    flags = tuple(lbl for lbl in labels.used if dressed.is_flagged(lbl))
-    if strict and flags:
-        raise DispersiveInvalidError(
-            f"dressed state(s) {flags} have best overlap <= "
-            f"{FLAG_THRESHOLD:g}; labels are unreliable "
-            "(pass strict=False to get values anyway)")
-    e0 = dressed.energy(labels.ground)
-    e_q1 = dressed.energy(labels.q1)
-    e_c1 = dressed.energy(labels.c1)
-    e_q1c1 = dressed.energy(labels.q1c1)
-    omega01 = e_q1 - e0
-    omega_cavity = e_c1 - e0
-    chi = e_q1c1 - e_q1 - e_c1 + e0
-    alpha = None
-    if labels.q2 is not None:
-        alpha = dressed.energy(labels.q2) - 2.0 * e_q1 + e0
-    zeta = None
-    if labels.pair is not None:
-        a1, b1, ab = labels.pair
-        zeta = dressed.energy(ab) - dressed.energy(a1) - dressed.energy(b1) + e0
-    return DispersiveResult(omega01=omega01, alpha=alpha, omega_cavity=omega_cavity,
-                            chi=chi, zeta=zeta, flags=flags,
-                            min_label_overlap=min(map(dressed.overlap, labels.used)))
+    used = tuple(dict.fromkeys(labels.values()))
+    e = {name: dressed.energy(lbl) for name, lbl in labels.items()}
+    e0, e_q1 = e["ground"], e["q1"]
+    alpha = e["q2"] - 2.0 * e_q1 + e0 if "q2" in e else None
+    zeta = e["ab"] - e["a1"] - e["b1"] + e0 if "ab" in e else None
+    return DispersiveResult(omega01=e_q1 - e0, alpha=alpha, omega_cavity=e["c1"] - e0,
+                            chi=e["q1c1"] - e_q1 - e["c1"] + e0, zeta=zeta,
+                            flags=tuple(lbl for lbl in used if dressed.is_flagged(lbl)),
+                            min_label_overlap=min(map(dressed.overlap, used)))

@@ -16,10 +16,9 @@ import math
 import numpy as np
 
 from cavqed.constants import HBAR
-from cavqed.errors import DispersiveInvalidError
 from cavqed.hom import spectral_weights
 from cavqed.ports import transfer_functions
-from cavqed.system import DressedSpectrum, QubitInstance, _greedy_assign
+from cavqed.system import DressedSpectrum, _greedy_assign
 
 
 def brute_force_abc(resp, w1, w2, omegas, tau, t0=0.0):
@@ -121,14 +120,13 @@ def _embed(ops, n_sites, n_levels):
     return result
 
 
-def assemble_hamiltonian(qubits, cavity_omegas, couplings, basis):
+def assemble_hamiltonian(spectra, cavity_omegas, couplings, basis):
     """Rotating-wave Hamiltonian (real symmetric, rad/s) on the whole product
-    space of ``basis``: each qubit's ground-referenced levels, each mode's
+    space of ``basis``: each transmon spectrum's ground-referenced levels, each mode's
     omega_k * a^dag a, and for every (cavity k, qubit q)
     sum_j g[k,q,j] * (|j><j+1| a_k^dag + h.c.), each coupling term one
     Kronecker product of its two local operators."""
     n_q, m, n_sites = basis.n_qubits, basis.n_levels, basis.n_sites
-    spectra = [q.spectrum if isinstance(q, QubitInstance) else q for q in qubits]
     dim = m**n_sites
     h = np.zeros((dim, dim))
     lower_cav = np.diag(np.sqrt(np.arange(1, m)), 1)  # annihilation operator a
@@ -155,11 +153,10 @@ def dressed_spectrum(hamiltonian, basis):
     energies, vectors = np.linalg.eigh(hamiltonian)
     overlap2 = np.abs(vectors)**2  # [bare index, eigen index]
     bare_assigned = _greedy_assign(overlap2)
-    labels = product_labels(basis)
-    return DressedSpectrum(
-        basis=basis, energies=energies,
-        eigen_index=dict(zip(labels, bare_assigned.tolist())),
-        overlaps=dict(zip(labels, overlap2[np.arange(dim), bare_assigned].tolist())))
+    return DressedSpectrum(basis, dict(zip(
+        product_labels(basis),
+        zip(energies[bare_assigned].tolist(),
+            overlap2[np.arange(dim), bare_assigned].tolist()))))
 
 
 def greedy_assign(overlap2):
@@ -204,7 +201,7 @@ def two_level_chi_estimate(g, delta, alpha):
     chi of the multilevel model by roughly a factor of two.
     """
     if delta == 0.0 or delta + alpha == 0.0:
-        raise DispersiveInvalidError("estimate undefined at delta = 0 or delta = -alpha")
+        raise ValueError("estimate undefined at delta = 0 or delta = -alpha")
     return g * g * alpha / (delta * (delta + alpha))
 
 

@@ -407,6 +407,18 @@ class TestDispersive:
         assert rc == 2
         assert "start_nH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["start_nH", "stop_nH", "n_points"])
+    def test_missing_sweep_key_named(self, tmp_path, capsys, key):
+        cfg = yaml.safe_load(Path(ZZ_SWEEP).read_text())
+        del cfg["dispersive"]["sweep"][key]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        rc = cli.main(["dispersive", "--config", str(path),
+                       "--out", str(tmp_path / "d.json")])
+        assert rc == 2
+        assert f"'dispersive.sweep.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
 
 class TestIngestCheck:
     def make_config(self, tmp_path, modes_csv, n_qubits=1):
