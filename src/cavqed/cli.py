@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -49,10 +48,10 @@ from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
 from .output import open_output
 from .perturbation import perturbed_frequency_tip
 from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
-from .system import (QubitInstance, SystemBasis, CouplingMatrix,
-                     dipole_center_field, dispersive_params, sector_spectrum,
-                     transition_couplings, validate_qubit_placement)
-from .transmon import DipoleSpec, TransmonParams, dipole_capacitance, transmon_spectrum
+from .system import (QubitInstance, SystemBasis, dipole_center_fields,
+                     dispersive_params, sector_spectra, transition_couplings,
+                     validate_qubit_placement)
+from .transmon import TransmonParams, dipole_capacitance, transmon_spectrum
 
 
 def _fmt(value: float) -> str:
@@ -260,10 +259,11 @@ def cmd_hom(args) -> int:
 # --- dispersive ----------------------------------------------------------------
 
 def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits: int):
-    """(omega_k per requested mode, field lookup, mode source), where the
-    lookup maps (mode index k, qubit index q, DipoleSpec) to the mode's E
-    vector at the dipole center.  Analytic fields are memoized: over a sweep,
-    only a dipole that moves has its fields evaluated again."""
+    """(omega_k per requested mode, field table, mode source), where the
+    table maps the qubit lists of a sweep's points to the E vectors
+    [point, mode, qubit, xyz] at their dipole centers.  Analytic fields come
+    from one :func:`dipole_center_fields` call per mode over the sweep's
+    distinct dipoles, so each (dipole, mode) field is evaluated once."""
     if "external_modes" in cfg:
         by_label = _external_records(cfg, labels)
         unused = sorted(set(by_label) - set(labels))
@@ -276,18 +276,25 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
                 raise ConfigError(
                     f"external mode {rec.mode_label!r} has fields for "
                     f"{rec.n_sites} qubit site(s); configuration has {n_qubits}")
+        fixed = np.array([rec.e_fields[:n_qubits] for rec in chosen])
         return ([ghz_to_rad_per_s(rec.f_GHz) for rec in chosen],
-                lambda k, q, dipole: chosen[k].e_fields[q], "external")
+                lambda point_qubits: np.broadcast_to(fixed, (len(point_qubits),
+                                                             *fixed.shape)),
+                "external")
     probes = build_probes(cfg)
     modes = [make_mode(parse_mode_label(lbl), geom) for lbl in labels]
     omegas = [perturbed_frequency_tip(mode, geom, probes).omega_perturbed
               if probes else mode.omega for mode in modes]
 
-    @functools.lru_cache(maxsize=None)
-    def field_at(k: int, q: int, dipole: DipoleSpec) -> np.ndarray:
-        return dipole_center_field(dipole, modes[k], geom)
+    def fields_at(point_qubits: list[list[QubitInstance]]) -> np.ndarray:
+        dipoles = list(dict.fromkeys(q.dipole for qubits in point_qubits for q in qubits))
+        at = np.stack([dipole_center_fields(dipoles, mode, geom) for mode in modes],
+                      axis=1)  # [dipole, mode, xyz]
+        index = {dipole: i for i, dipole in enumerate(dipoles)}
+        return at[[[index[q.dipole] for q in qubits] for qubits in point_qubits]
+                  ].swapaxes(1, 2)
 
-    return omegas, field_at, "internal"
+    return omegas, fields_at, "internal"
 
 
 def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
@@ -305,24 +312,33 @@ def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
     return qubit
 
 
-def _evaluate_point(qubits, omegas, field_at, basis, chi_qubit, chi_cavity, zeta_pair):
-    couplings = CouplingMatrix(g=[
-        [transition_couplings(qubit, field_at(k, q, qubit.dipole),
-                              omega_k)[:basis.n_levels - 1]
-         for q, qubit in enumerate(qubits)]
-        for k, omega_k in enumerate(omegas)])
-    dressed = sector_spectrum([q.spectrum for q in qubits], omegas, couplings, basis)
-    res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,
-                            qubit_pair=zeta_pair)
-    return {
-        "omega01_GHz": rad_per_s_to_ghz(res.omega01),
-        "alpha_MHz": (rad_per_s_to_mhz(res.alpha) if res.alpha is not None else None),
-        "omega_k_GHz": rad_per_s_to_ghz(res.omega_cavity),
-        "chi_MHz": rad_per_s_to_mhz(res.chi),
-        "zeta_MHz": (rad_per_s_to_mhz(res.zeta) if res.zeta is not None else None),
-        "flags": [list(lbl) for lbl in res.flags],
-        "min_label_overlap": res.min_label_overlap,
-    }
+def _evaluate_sweep(point_inputs, omegas, fields_at, basis, chi_qubit, chi_cavity,
+                    zeta_pair):
+    """Output entry of every sweep point, in order, from one stacked sector
+    solve: each point's transmon levels and couplings are filled into
+    [point, qubit, level] and [point, mode, qubit, transition] arrays."""
+    m = basis.n_levels
+    point_qubits = [qubits for qubits, _ in point_inputs]
+    fields = fields_at(point_qubits)
+    levels = np.array([[q.spectrum.levels[:m] for q in qubits] for qubits in point_qubits])
+    couplings = np.array([[[transition_couplings(qubit, fields[p, k, q], omega_k)[:m - 1]
+                            for q, qubit in enumerate(qubits)]
+                           for k, omega_k in enumerate(omegas)]
+                          for p, qubits in enumerate(point_qubits)])
+    spectra = sector_spectra(levels, omegas, couplings, basis)
+    for (_, extra), dressed in zip(point_inputs, spectra):
+        res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,
+                                qubit_pair=zeta_pair)
+        yield {
+            "omega01_GHz": rad_per_s_to_ghz(res.omega01),
+            "alpha_MHz": (rad_per_s_to_mhz(res.alpha) if res.alpha is not None else None),
+            "omega_k_GHz": rad_per_s_to_ghz(res.omega_cavity),
+            "chi_MHz": rad_per_s_to_mhz(res.chi),
+            "zeta_MHz": (rad_per_s_to_mhz(res.zeta) if res.zeta is not None else None),
+            "flags": [list(lbl) for lbl in res.flags],
+            "min_label_overlap": res.min_label_overlap,
+            **extra,
+        }
 
 
 def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str,
@@ -376,7 +392,7 @@ def cmd_dispersive(args) -> int:
         zeta_pair = [0, 1]
     if zeta_pair is not None:
         zeta_pair = (int(zeta_pair[0]), int(zeta_pair[1]))
-    omegas, field_at, mode_source = _cavity_inputs(cfg, geom, labels, len(qubit_cfgs))
+    omegas, fields_at, mode_source = _cavity_inputs(cfg, geom, labels, len(qubit_cfgs))
     omega_ref = min(omegas)
     qubits = [_build_qubit(qc, geom, omega_ref, m_levels) for qc in qubit_cfgs]
 
@@ -386,10 +402,8 @@ def cmd_dispersive(args) -> int:
                           "(external fields are fixed per site)")
     point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, omega_ref, m_levels)
     basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(omegas), n_levels=m_levels)
-    points = []
-    for qubit_list, extra in point_inputs:
-        points.append({**_evaluate_point(qubit_list, omegas, field_at, basis,
-                                         chi_qubit, chi_cavity, zeta_pair), **extra})
+    points = list(_evaluate_sweep(point_inputs, omegas, fields_at, basis,
+                                  chi_qubit, chi_cavity, zeta_pair))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": sha,

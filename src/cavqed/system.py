@@ -24,10 +24,14 @@ occupations), so H is block diagonal in N.  The dispersive energies live in
 the sectors N <= 2, whose labels are the occupation tuples of total <= 2 with
 every entry below the local dimension: 1 + S + S(S+1)/2 states for
 S = qubits + modes once n_levels >= 3, whatever n_levels is.
-:func:`sector_spectrum` builds and diagonalizes only those blocks, each on
-its own.  Dressed states are labeled by greedy maximum-overlap assignment and
-flagged when the winning overlap is not above 1/2 (hybridization too strong
-for the label to mean anything).
+:func:`sector_spectra` builds and diagonalizes only those blocks, for a whole
+sweep at once: each sector's blocks of all its points form one stack and go
+through one ``eigh`` call, and every point gets the values it would get alone
+(:func:`sector_spectrum` is the one-point call).  Dressed states are labeled
+by greedy maximum-overlap assignment and flagged when the winning overlap is
+not above 1/2 (hybridization too strong for the label to mean anything).
+:func:`dipole_center_fields` likewise samples the fields at many dipoles in
+one :func:`eval_fields` call per mode.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,9 +58,10 @@ FIELD_VARIATION_TOLERANCE = 0.05
 FLAG_THRESHOLD = 0.5
 FLAG_BOUNDARY_SLACK = 1e-9
 
-#: Largest N = 2 block :func:`sector_spectrum` fills: 8,192 states make a
-#: 512 MiB float64 matrix, and ``eigh`` and the labeling hold several arrays
-#: of that size at once.
+#: Largest N = 2 block :func:`sector_spectra` fills, and its square bounds the
+#: entries of each stacked ``eigh`` call: 8,192 states make a 512 MiB float64
+#: matrix, and ``eigh`` holds about five arrays of that size at once (its
+#: input, its own copy, LAPACK's workspace of two, the eigenvectors).
 MAX_SECTOR_STATES = 8192
 
 
@@ -135,31 +140,43 @@ class CouplingMatrix:
         object.__setattr__(self, "g", arr)
 
 
+def dipole_center_fields(dipoles: Sequence[DipoleSpec], mode: CavityMode,
+                         geom: CavityGeometry) -> np.ndarray:
+    """Unit-normalized E vectors [dipole, xyz] of the mode at each dipole
+    center, from one :func:`eval_fields` call over all the dipoles.
+
+    Samples the axial field at five points along each wire and warns with
+    :class:`FieldVariationWarning`, once per dipole, where it varies by more
+    than 5% (the point-sample receiving voltage then misrepresents the
+    triangular-current average).  :func:`eval_fields` is pointwise, so each
+    dipole's field is bitwise the one it gets alone.
+    """
+    axes = np.array([d.orientation for d in dipoles], dtype=float)
+    centers = np.array([d.center for d in dipoles], dtype=float)
+    lengths = np.array([d.length for d in dipoles], dtype=float)
+    fractions = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+    points = (centers[:, None]
+              + fractions[None, :, None] * axes[:, None] * lengths[:, None, None])
+    e_field, _ = eval_fields(mode, geom, points)
+    axial = (e_field * axes[:, None]).sum(axis=-1)
+    center_val = axial[:, 2]
+    spread = np.abs(axial - center_val[:, None]).max(axis=1)
+    reference = np.maximum(np.abs(center_val), np.abs(axial).max(axis=1))
+    for s, r in zip(spread.tolist(), reference.tolist()):
+        if r > 0.0 and s > FIELD_VARIATION_TOLERANCE * r:
+            warnings.warn(
+                f"mode field varies by {s / r:.1%} along the dipole; "
+                "point-sample receiving voltage is inaccurate "
+                "(compare receiving_voltage_line_integral)", FieldVariationWarning,
+                stacklevel=2)
+    return e_field[:, 2]
+
+
 def dipole_center_field(dipole: DipoleSpec, mode: CavityMode,
                         geom: CavityGeometry) -> np.ndarray:
-    """Unit-normalized E vector of the mode at the dipole center.
-
-    Samples the axial field at five points along the wire and warns with
-    :class:`FieldVariationWarning` when it varies by more than 5% (the
-    point-sample receiving voltage then misrepresents the triangular-current
-    average).
-    """
-    axis = np.asarray(dipole.orientation)
-    center = np.asarray(dipole.center)
-    fractions = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
-    points = center + np.outer(fractions, axis) * dipole.length
-    e_field, _ = eval_fields(mode, geom, points)
-    axial = e_field @ axis
-    center_val = float(axial[2])
-    spread = float(np.max(np.abs(axial - center_val)))
-    reference = max(abs(center_val), float(np.max(np.abs(axial))))
-    if reference > 0.0 and spread > FIELD_VARIATION_TOLERANCE * reference:
-        warnings.warn(
-            f"mode field varies by {spread / reference:.1%} along the dipole; "
-            "point-sample receiving voltage is inaccurate "
-            "(compare receiving_voltage_line_integral)", FieldVariationWarning,
-            stacklevel=2)
-    return e_field[2]
+    """Unit-normalized E vector of the mode at the dipole center: the
+    one-dipole :func:`dipole_center_fields`."""
+    return dipole_center_fields([dipole], mode, geom)[0]
 
 
 def _point_voltage(dipole: DipoleSpec, e_center) -> float:
@@ -261,48 +278,53 @@ class DressedSpectrum:
 
 def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
     """Eigenvector index assigned to each bare state of ``overlap2``
-    [bare index, eigen index] (squared overlaps of a square block).
+    [..., bare index, eigen index] (squared overlaps of square blocks, with
+    any number of leading stack axes).
 
-    Visits all (bare state, eigenvector) pairs in order of decreasing squared
-    overlap (ties broken by bare-then-eigen index for determinism) and accepts
-    a pair when both members are still unassigned, so every bare state gets
-    exactly one eigenvector.
+    Visits all (bare state, eigenvector) pairs of a block in order of
+    decreasing squared overlap (ties broken by bare-then-eigen index for
+    determinism) and accepts a pair when both members are still unassigned,
+    so every bare state gets exactly one eigenvector.
 
     A pair that is the only one above 1/2 in its row and in its column
     exceeds every other entry of both, so that visit accepts it whatever came
     before:
-    all such pairs are assigned at once, and only the remaining rows and
-    columns go through the loop.  Where every bare state keeps most of its
-    weight in one eigenvector, nothing remains.
+    all such pairs of the whole stack are assigned at once, and only the
+    remaining rows and columns of the blocks that have any go through the
+    loop.  Where every bare state keeps most of its weight in one
+    eigenvector, nothing remains.
     """
-    dim = overlap2.shape[0]
-    above = overlap2 > 0.5
-    eig = above.argmax(axis=1)
-    sure = (above.sum(axis=1) == 1) & (above.sum(axis=0)[eig] == 1)
-    bare_assigned = np.where(sure, eig, -1)
+    dim = overlap2.shape[-1]
+    stack = overlap2.reshape(-1, dim, dim)
+    above = stack > 0.5
+    eig = above.argmax(axis=2)
+    sure = ((above.sum(axis=2) == 1)
+            & (above.sum(axis=1)[np.arange(len(stack))[:, None], eig] == 1))
     if sure.all():
-        return bare_assigned
-    rows = np.flatnonzero(~sure)
-    free = np.ones(dim, dtype=bool)
-    free[eig[sure]] = False
-    cols = np.flatnonzero(free)
-    # the submatrix keeps the (bare, eigen) order of its entries, so ties
-    # break as they would in the whole matrix
-    n_rest = rows.size
-    order = np.argsort(-overlap2[np.ix_(rows, cols)], axis=None, kind="stable")
-    row_taken = np.zeros(n_rest, dtype=bool)
-    col_taken = np.zeros(n_rest, dtype=bool)
-    remaining = n_rest
-    for flat in order:
-        r, c = divmod(int(flat), n_rest)
-        if row_taken[r] or col_taken[c]:
-            continue
-        bare_assigned[rows[r]] = cols[c]
-        row_taken[r] = col_taken[c] = True
-        remaining -= 1
-        if remaining == 0:
-            break
-    return bare_assigned
+        return eig.reshape(overlap2.shape[:-1])
+    bare_assigned = np.where(sure, eig, -1)
+    for block in np.flatnonzero(~sure.all(axis=1)).tolist():
+        rows = np.flatnonzero(~sure[block])
+        free = np.ones(dim, dtype=bool)
+        free[eig[block, sure[block]]] = False
+        cols = np.flatnonzero(free)
+        # the submatrix keeps the (bare, eigen) order of its entries, so ties
+        # break as they would in the whole matrix
+        n_rest = rows.size
+        order = np.argsort(-stack[block][np.ix_(rows, cols)], axis=None, kind="stable")
+        row_taken = np.zeros(n_rest, dtype=bool)
+        col_taken = np.zeros(n_rest, dtype=bool)
+        remaining = n_rest
+        for flat in order:
+            r, c = divmod(int(flat), n_rest)
+            if row_taken[r] or col_taken[c]:
+                continue
+            bare_assigned[block, rows[r]] = cols[c]
+            row_taken[r] = col_taken[c] = True
+            remaining -= 1
+            if remaining == 0:
+                break
+    return bare_assigned.reshape(overlap2.shape[:-1])
 
 
 class _Sector(NamedTuple):
@@ -370,33 +392,42 @@ def _sector_layout(n_qubits: int, n_cavities: int, n_levels: int) -> _SectorLayo
     return _SectorLayout(labels, occ, tuple(sectors))
 
 
-def sector_spectrum(spectra: Sequence[TransmonSpectrum],
-                    cavity_omegas: Sequence[float],
-                    couplings: CouplingMatrix,
-                    basis: SystemBasis) -> DressedSpectrum:
-    """Dressed spectrum of the excitation-number sectors N <= 2 only, the
-    sectors of every state :func:`dispersive_params` reads.
+def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
+                   basis: SystemBasis) -> Iterator[DressedSpectrum]:
+    """Dressed spectra of the excitation-number sectors N <= 2, the sectors
+    of every state :func:`dispersive_params` reads, for a stack of P points
+    that share the basis and the cavity frequencies.
 
-    Uses the terms of H (module docstring) on the labels of total
-    occupation <= 2: the diagonal is the ground-referenced qubit levels plus
-    sum_k omega_k n_k, and g[k,q,j] * sqrt(n_k + 1) couples (q = j+1, n_k)
-    with (q = j, n_k + 1).  Each sector's block is filled and diagonalized on
-    its own and labeled by :func:`_greedy_assign`, so an eigenvector never
-    mixes sectors; asking the result for a label of N > 2 raises ValueError.
-    Inputs that do not match the basis, and a basis whose N = 2 block would
-    exceed :data:`MAX_SECTOR_STATES`, raise ValueError before anything is
-    allocated.
+    ``levels`` [p, q, n] holds each point's transmon levels (rad/s, n below
+    the basis' local dimension) and ``couplings`` [p, k, q, j] its coupling
+    rates g[k, q, j].  Uses the terms of H (module docstring) on the labels
+    of total occupation <= 2: the diagonal is the ground-referenced qubit
+    levels plus sum_k omega_k n_k, and g[k,q,j] * sqrt(n_k + 1) couples
+    (q = j+1, n_k) with (q = j, n_k + 1).  Each sector's blocks of all the
+    points are filled as one (P, n, n) stack, diagonalized by one
+    ``np.linalg.eigh`` call (the same LAPACK routine on every block; a block
+    of one state is already diagonal) and
+    labeled by :func:`_greedy_assign`, so an eigenvector never mixes sectors
+    and a point's spectrum does not depend on the stack it is solved in.
+    Points are solved in chunks whose blocks hold at most
+    :data:`MAX_SECTOR_STATES` ** 2 entries per ``eigh`` call, and the spectra
+    are produced one point at a time, in order.  Inputs that do not match
+    the basis, and a basis whose N = 2 block would exceed
+    :data:`MAX_SECTOR_STATES`, raise ValueError when the first spectrum is
+    asked for, before anything is allocated.
     """
     n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
-    if len(spectra) != n_q or len(cavity_omegas) != n_c:
+    levels = np.asarray(levels, dtype=float)
+    g = np.asarray(couplings, dtype=float)
+    if levels.ndim != 3 or levels.shape[1] != n_q or len(cavity_omegas) != n_c:
         raise ValueError("qubit/cavity counts must match the basis")
-    if couplings.g.shape != (n_c, n_q, m - 1):
-        raise ValueError(f"couplings shape {couplings.g.shape} does not match "
+    if levels.shape[2] != m:
+        raise ValueError(f"levels hold {levels.shape[2]} per qubit; basis needs {m}")
+    if g.shape[1:] != (n_c, n_q, m - 1):
+        raise ValueError(f"couplings shape {g.shape[1:]} does not match "
                          f"basis ({n_c}, {n_q}, {m - 1})")
-    for q, spec in enumerate(spectra):
-        if len(spec.levels) < m:
-            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
-                             f"basis needs {m}")
+    if len(g) != len(levels):
+        raise ValueError(f"{len(levels)} points of levels but {len(g)} of couplings")
     size = _n2_sector_size(basis.n_sites, m)
     if size > MAX_SECTOR_STATES:
         raise ValueError(
@@ -406,25 +437,54 @@ def sector_spectrum(spectra: Sequence[TransmonSpectrum],
             "use fewer cavity modes")
     layout = _sector_layout(n_q, n_c, m)
     occ = layout.occ
-    diag = np.zeros(len(occ))
+    largest = max(len(sector.rows) for sector in layout.sectors)
+    per_chunk = max(1, MAX_SECTOR_STATES**2 // largest**2)
+    for start in range(0, len(levels), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        n_points = len(levels[chunk])
+        point = np.arange(n_points)[:, None]
+        diag = np.zeros((n_points, len(occ)))
+        for q in range(n_q):
+            local = levels[chunk, q] - levels[chunk, q, :1]
+            diag = diag + local[:, occ[:, q]]
+        for k, omega_k in enumerate(cavity_omegas):
+            diag = diag + omega_k * occ[:, n_q + k]
+        energies = np.empty_like(diag)
+        overlaps = np.empty_like(diag)
+        for rows, src, dst, k, q, j, amplitude in layout.sectors:
+            n = len(rows)
+            if n <= 1:  # N = 0, or N = 2 of one two-level site: already diagonal
+                energies[:, rows] = diag[:, rows]
+                overlaps[:, rows] = 1.0
+                continue
+            blocks = np.zeros((n_points, n, n))
+            blocks.reshape(n_points, n * n)[:, ::n + 1] = diag[:, rows]  # diagonals
+            blocks[:, src, dst] = blocks[:, dst, src] = g[chunk, k, q, j] * amplitude
+            values, vectors = np.linalg.eigh(blocks)
+            overlap2 = np.square(vectors, out=vectors)
+            assigned = _greedy_assign(overlap2)
+            energies[:, rows] = values[point, assigned]
+            overlaps[:, rows] = overlap2[point, np.arange(n), assigned]
+        for e_row, o_row in zip(energies, overlaps):
+            yield DressedSpectrum(basis, dict(zip(layout.labels,
+                                                  zip(e_row.tolist(), o_row.tolist()))))
+
+
+def sector_spectrum(spectra: Sequence[TransmonSpectrum],
+                    cavity_omegas: Sequence[float],
+                    couplings: CouplingMatrix,
+                    basis: SystemBasis) -> DressedSpectrum:
+    """Dressed spectrum of the sectors N <= 2 of one point: the one-point
+    :func:`sector_spectra`.  Asking the result for a label of N > 2 raises
+    ValueError, and so do inputs that do not match the basis."""
+    m = basis.n_levels
     for q, spec in enumerate(spectra):
-        local = np.asarray(spec.levels[:m], dtype=float) - spec.levels[0]
-        diag = diag + local[occ[:, q]]
-    for k, omega_k in enumerate(cavity_omegas):
-        diag = diag + omega_k * occ[:, n_q + k]
-    energies = np.empty(len(occ))
-    overlaps = np.empty(len(occ))
-    for rows, src, dst, k, q, j, amplitude in layout.sectors:
-        block = np.diag(diag[rows])
-        block[src, dst] = couplings.g[k, q, j] * amplitude
-        block[dst, src] = block[src, dst]
-        values, vectors = np.linalg.eigh(block)
-        overlap2 = np.abs(vectors)**2
-        assigned = _greedy_assign(overlap2)
-        energies[rows] = values[assigned]
-        overlaps[rows] = overlap2[np.arange(len(rows)), assigned]
-    return DressedSpectrum(basis, dict(zip(layout.labels,
-                                           zip(energies.tolist(), overlaps.tolist()))))
+        if len(spec.levels) < m:
+            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
+                             f"basis needs {m}")
+    levels = np.array([spec.levels[:m] for spec in spectra], dtype=float)
+    return next(sector_spectra(levels.reshape(1, len(spectra), m), cavity_omegas,
+                               couplings.g[None], basis))
 
 
 @dataclass(frozen=True)

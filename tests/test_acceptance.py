@@ -13,6 +13,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -309,36 +310,51 @@ def test_criterion_10_zz_sweep(tmp_path):
             f"to L_J = {l_nh!r} nH (flags {point['flags']})")
 
 
-def test_gap_flags_match_dense_oracle(tmp_path, monkeypatch):
-    """At both zeta gaps that criterion 10 bisects to, the dense oracle
-    (M = 3, 243 states) flags the same read-out labels as the sector solver
-    that the CLI ran, on the very inputs the CLI passed it."""
+@pytest.fixture(scope="module")
+def zz_solves(tmp_path_factory):
+    """Criterion 10's sweep and its two bisected zeta gaps, run through the
+    CLI with its stacked solver recorded: ``(args, spectra)`` of the sweep's
+    one solve, and per gap its L_J (nH), its payload entry and the
+    ``(args, spectrum)`` of its one-point solve."""
+    tmp_path = tmp_path_factory.mktemp("zz")
     out = tmp_path / "zz.json"
-    assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out)]) == 0
-    points = json.loads(out.read_text())["points"]
-    gaps = [bisect_zeta_gap(tmp_path, a["L_J_nH"], b["L_J_nH"], a["zeta_MHz"])
-            for a, b in zip(points, points[1:]) if a["zeta_MHz"] * b["zeta_MHz"] < 0]
-    assert len(gaps) == 2
-    readout = yaml.safe_load(Path(ZZ_SWEEP).read_text())["dispersive"]
-    readout = {"qubit": readout["chi"]["qubit"], "cavity": readout["chi"]["cavity"],
-               "qubit_pair": readout["zeta_pair"]}
     solves = []
 
     def captured(*args):
-        dressed = cq.sector_spectrum(*args)
-        solves.append((args, dressed))
-        return dressed
+        for dressed in cq.sector_spectra(*args):
+            solves.append((args, dressed))
+            yield dressed
 
-    monkeypatch.setattr(cli, "sector_spectrum", captured)
-    for l_nh, point in gaps:
-        solves.clear()
-        assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out),
-                         "--override", "dispersive.sweep={type: none}",
-                         "--override", f"qubits.1.L_J_nH={l_nh!r}"]) == 0
-        assert json.loads(out.read_text())["points"][0] == point
-        [(args, sector)] = solves
-        basis = args[3]
-        dense = oracles.dressed_spectrum(oracles.assemble_hamiltonian(*args), basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "sector_spectra", captured)
+        assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        sweep = (solves[0][0], [dressed for _, dressed in solves])
+        assert len(sweep[1]) == len(points) == 51
+        gaps = []
+        for a, b in zip(points, points[1:]):
+            if a["zeta_MHz"] * b["zeta_MHz"] < 0:
+                solves.clear()
+                l_nh, point = bisect_zeta_gap(tmp_path, a["L_J_nH"], b["L_J_nH"],
+                                              a["zeta_MHz"])
+                gaps.append((l_nh, point, solves[-1]))
+    assert len(gaps) == 2
+    return sweep, gaps
+
+
+def test_gap_flags_match_dense_oracle(zz_solves):
+    """At both zeta gaps that criterion 10 bisects to, the dense oracle
+    (M = 3, 243 states) flags the same read-out labels as the sector solver
+    that the CLI ran, on the very inputs the CLI passed it."""
+    readout = yaml.safe_load(Path(ZZ_SWEEP).read_text())["dispersive"]
+    readout = {"qubit": readout["chi"]["qubit"], "cavity": readout["chi"]["cavity"],
+               "qubit_pair": readout["zeta_pair"]}
+    for l_nh, point, ((levels, omegas, g, basis), sector) in zz_solves[1]:
+        assert len(levels) == len(g) == 1
+        spectra = [SimpleNamespace(levels=row) for row in levels[0]]  # reads .levels only
+        dense = oracles.dressed_spectrum(
+            oracles.assemble_hamiltonian(spectra, omegas, cq.CouplingMatrix(g=g[0]), basis),
+            basis)
         assert len(dense.levels) == 3**5
         from_sector = cq.dispersive_params(sector, **readout)
         from_dense = cq.dispersive_params(dense, **readout)
@@ -350,3 +366,20 @@ def test_gap_flags_match_dense_oracle(tmp_path, monkeypatch):
         for label in _readout_labels(basis, readout["qubit"], readout["cavity"],
                                      tuple(readout["qubit_pair"])).values():
             assert abs(dense.energy(label) - sector.energy(label)) <= 1e-12 * scale
+
+
+def test_gap_points_independent_of_stack(zz_solves):
+    """Stacked with each other and with the 51 sampled points, both bisected
+    gap points get exactly the levels they got alone, and every sampled point
+    those of its sweep.  Label (1,1,0,0,0) overlaps no eigenvector by more
+    than 1/2 at the gaps, so these blocks go through _greedy_assign's loop."""
+    ((levels, omegas, g, basis), sampled), gaps = zz_solves
+    stack_levels = np.concatenate([gaps[0][2][0][0], levels, gaps[1][2][0][0]])
+    stack_g = np.concatenate([gaps[0][2][0][2], g, gaps[1][2][0][2]])
+    stacked = list(cq.sector_spectra(stack_levels, omegas, stack_g, basis))
+    alone = [gaps[0][2][1], *sampled, gaps[1][2][1]]
+    assert len(stacked) == len(alone) == 53
+    for solved, expected in zip(stacked, alone):
+        assert solved.levels == expected.levels
+    for _, _, (_, dressed) in gaps:
+        assert dressed.overlap((1, 1, 0, 0, 0)) < 0.5

@@ -233,29 +233,38 @@ class TestDispersive:
 
     @pytest.fixture
     def field_calls(self, monkeypatch):
+        """(mode, dipole centers) of every eval_fields call that samples
+        dipoles (five points along each)."""
         calls = []
-        evaluate = cli.dipole_center_field
+        evaluate = cq.system.eval_fields
 
-        def counted(dipole, mode, geom):
-            calls.append((dipole.center, mode.index))
-            return evaluate(dipole, mode, geom)
+        def counted(mode, geom, points):
+            centers = [tuple(center) for center in points[:, 2].tolist()]
+            calls.append((mode.index, centers))
+            return evaluate(mode, geom, points)
 
-        monkeypatch.setattr(cli, "dipole_center_field", counted)
+        monkeypatch.setattr(cq.system, "eval_fields", counted)
         return calls
 
     def test_fields_evaluated_once_per_dipole_and_mode(self, tmp_path, field_calls):
-        # an L_J sweep moves no dipole: one evaluation per (qubit, mode)
+        # an L_J sweep moves no dipole: one evaluation per (qubit, mode), the
+        # two fixed dipoles sharing one eval_fields call per mode
         assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out",
                          str(tmp_path / "lj.json"), "--override", "dispersive.M=3",
                          "--override", "dispersive.sweep.n_points=7"]) == 0
-        assert len(field_calls) == 2 * 3 == len(set(field_calls))
-        # a position grid moves the swept dipole: one per point per mode
+        fields = [(mode, center) for mode, centers in field_calls for center in centers]
+        assert len(field_calls) == 3 == len({mode for mode, _ in field_calls})
+        assert len(fields) == 2 * 3 == len(set(fields))
+        # a position grid moves the swept dipole: one evaluation per point per
+        # mode, all the points' dipoles in one eval_fields call per mode
         field_calls.clear()
         assert cli.main(["dispersive", "--config", CHI_MAP, "--out",
                          str(tmp_path / "grid.json"), "--override", "dispersive.M=3",
                          "--override", "dispersive.sweep.n_x=3",
                          "--override", "dispersive.sweep.n_z=3"]) == 0
-        assert len(field_calls) == 9 * 2 == len(set(field_calls))
+        fields = [(mode, center) for mode, centers in field_calls for center in centers]
+        assert len(field_calls) == 2 == len({mode for mode, _ in field_calls})
+        assert len(fields) == 9 * 2 == len(set(fields))
 
     def test_chi_map_point_independent_of_sweep(self, tmp_path):
         grid = tmp_path / "grid.json"

@@ -75,6 +75,24 @@ class TestReceivingVoltage:
             v = cq.receiving_voltage(long_tilted, te102, geom)
         npt.assert_allclose(v, 0.6561679790026247, rtol=1e-12)
 
+    def test_stacked_fields_equal_one_dipole_fields(self, geom, te102, center_dipole):
+        # a short dipole next to the long tilted one: bitwise the one-dipole
+        # fields, and one warning, for the long dipole, worded as alone
+        long_tilted = cq.DipoleSpec(length=4e-3, radius=0.04e-3, gap=0.102e-3,
+                                    center=(geom.a / 2, geom.b / 2, 15e-3),
+                                    orientation=(0.0, 1.0, 1.0))
+        with pytest.warns(FieldVariationWarning) as alone:
+            fields = [cq.dipole_center_field(dipole, te102, geom)
+                      for dipole in (center_dipole, long_tilted)]
+        with warnings.catch_warnings(record=True) as stacked_warnings:
+            warnings.simplefilter("always")
+            stacked = cq.dipole_center_fields([center_dipole, long_tilted], te102, geom)
+        assert stacked.shape == (2, 3)
+        assert stacked.tobytes() == np.array(fields).tobytes()
+        [warning] = stacked_warnings
+        assert warning.category is FieldVariationWarning
+        assert [str(w.message) for w in alone] == [str(warning.message)]
+
 
 class TestCouplingRates:
     def test_divider(self, reference_system):
@@ -327,7 +345,8 @@ class TestSectorSpectrum:
         assert sector.min_label_overlap == result.min_label_overlap
 
     @pytest.mark.parametrize("n_qubits, n_cavities, n_levels, size", [
-        (1, 2, 6, 10), (2, 3, 3, 21), (1, 2, 15, 10), (1, 1, 2, 4), (2, 2, 2, 11)])
+        (1, 2, 6, 10), (2, 3, 3, 21), (1, 2, 15, 10), (1, 1, 2, 4), (2, 2, 2, 11),
+        (1, 0, 2, 2), (0, 1, 2, 2)])
     def test_sector_sizes(self, n_qubits, n_cavities, n_levels, size):
         spec = cq.TransmonSpectrum(params=cq.TransmonParams(E_C=1e-24, E_J=1e-22),
                                    levels=tuple(TWO_PI * 6e9 * j * 0.95**j
@@ -458,12 +477,16 @@ TIE = 1e-10
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, shape=None):
     """Random 1-2 qubit, 1-3 mode systems (units of 2*pi GHz), with modes and
-    the second qubit optionally within 1 MHz of the first qubit."""
-    n_qubits = draw(st.integers(1, 2))
-    n_cavities = draw(st.integers(1, 3))
-    n_levels = draw(st.integers(2, 4 if n_qubits + n_cavities <= 4 else 3))
+    the second qubit optionally within 1 MHz of the first qubit; ``shape``
+    (qubits, modes, levels) fixes the basis."""
+    if shape is None:
+        n_qubits = draw(st.integers(1, 2))
+        n_cavities = draw(st.integers(1, 3))
+        n_levels = draw(st.integers(2, 4 if n_qubits + n_cavities <= 4 else 3))
+    else:
+        n_qubits, n_cavities, n_levels = shape
     unit = TWO_PI * 1e9
     near = st.floats(-1e-3, 1e-3)
     omega01 = [draw(st.floats(5.0, 7.0))]
@@ -549,6 +572,64 @@ def test_sector_matches_dense():
     # boundary draws (g = 0, exact resonances) must not skip most examples
     assert len(counts) >= 100
     assert sum(n > 0 for n in counts) >= 0.8 * len(counts)
+
+
+@st.composite
+def system_stacks(draw):
+    """Stacks of 1-4 random systems of one basis that share the first one's
+    cavity frequencies: (points as (spectra, couplings), omegas, basis)."""
+    spectra, omegas, couplings, basis = draw(small_systems())
+    shape = (basis.n_qubits, basis.n_cavities, basis.n_levels)
+    rest = draw(st.lists(small_systems(shape), max_size=3))
+    points = [(spectra, couplings)] + [(other[0], other[2]) for other in rest]
+    return points, omegas, basis
+
+
+def test_stacked_points_equal_points_alone():
+    """Each point of a stacked solve gets exactly (==) the levels it gets
+    solved alone, on the random systems of test_sector_matches_dense."""
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(system_stacks())
+    def check(stack):
+        points, omegas, basis = stack
+        levels = np.array([[spec.levels for spec in spectra] for spectra, _ in points])
+        g = np.array([couplings.g for _, couplings in points])
+        stacked = list(cq.sector_spectra(levels, omegas, g, basis))
+        assert len(stacked) == len(points)
+        for (spectra, couplings), dressed in zip(points, stacked):
+            alone = cq.sector_spectrum(spectra, omegas, couplings, basis)
+            assert dressed.levels == alone.levels
+
+    check()
+
+
+def test_chunked_stack_equals_whole_stack(monkeypatch):
+    """A stack split into chunks, each eigh call holding at most
+    MAX_SECTOR_STATES**2 entries, gives exactly the unchunked spectra."""
+    unit = TWO_PI * 1e9
+    rng = np.random.default_rng(7)
+    basis = cq.SystemBasis(n_qubits=2, n_cavities=3, n_levels=3)  # N = 2: 15 states
+    omegas = [unit * f for f in (7.5, 9.9, 12.4)]
+    levels = np.array([[(0.0, unit * w, unit * (2 * w - 0.3)) for w in pair]
+                       for pair in rng.uniform(5.0, 7.0, size=(7, 2))])
+    g = unit * rng.uniform(0.0, 0.1, size=(7, 3, 2, 2))
+    whole = [dressed.levels for dressed in cq.sector_spectra(levels, omegas, g, basis)]
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def recorded(blocks):
+        shapes.append(blocks.shape)
+        return eigh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(cq.system, "MAX_SECTOR_STATES", 30)  # 30**2 // 15**2 = 4
+    chunked = [dressed.levels for dressed in cq.sector_spectra(levels, omegas, g, basis)]
+    assert chunked == whole
+    # N = 1 and N = 2 per chunk; the one-state N = 0 block is already diagonal
+    assert [shape[1] for shape in shapes] == [5, 15] * 2
+    assert [shape[0] for shape in shapes] == [4, 4, 3, 3]
+    assert max(math.prod(shape) for shape in shapes) == 30**2
 
 
 class TestDispersiveParams:
