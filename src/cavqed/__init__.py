@@ -19,10 +19,10 @@ from .ports import (PortCoupling, ScatteringResponse, half_power_bandwidth,
                     port_coupling, transfer_functions, two_port_response)
 from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
                      QubitInstance, SystemBasis, coupling_matrix,
-                     dipole_center_field, dipole_center_fields, dispersive_params,
-                     receiving_voltage, receiving_voltage_line_integral,
-                     sector_spectra, sector_spectrum,
-                     transition_couplings, validate_qubit_placement)
+                     dipole_center_fields, dispersive_params, receiving_voltage,
+                     receiving_voltage_line_integral, sector_spectra,
+                     sector_spectrum, transition_couplings,
+                     validate_qubit_placement)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,
                        default_charge_cutoff, dipole_capacitance,
                        transmon_spectrum)

@@ -315,16 +315,13 @@ def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
 def _evaluate_sweep(point_inputs, omegas, fields_at, basis, chi_qubit, chi_cavity,
                     zeta_pair):
     """Output entry of every sweep point, in order, from one stacked sector
-    solve: each point's transmon levels and couplings are filled into
-    [point, qubit, level] and [point, mode, qubit, transition] arrays."""
+    solve: each point's transmon levels fill a [point, qubit, level] array,
+    and one :func:`transition_couplings` call gives the couplings
+    [point, mode, qubit, transition]."""
     m = basis.n_levels
     point_qubits = [qubits for qubits, _ in point_inputs]
-    fields = fields_at(point_qubits)
     levels = np.array([[q.spectrum.levels[:m] for q in qubits] for qubits in point_qubits])
-    couplings = np.array([[[transition_couplings(qubit, fields[p, k, q], omega_k)[:m - 1]
-                            for q, qubit in enumerate(qubits)]
-                           for k, omega_k in enumerate(omegas)]
-                          for p, qubits in enumerate(point_qubits)])
+    couplings = transition_couplings(point_qubits, fields_at(point_qubits), omegas, m)
     spectra = sector_spectra(levels, omegas, couplings, basis)
     for (_, extra), dressed in zip(point_inputs, spectra):
         res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,

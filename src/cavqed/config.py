@@ -327,8 +327,8 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {assignment!r}: bad value: {exc}") from exc
         node = out
-        for i, part in enumerate(parts[:-1]):
-            node = _descend(node, part, assignment, create=True)
+        for part in parts[:-1]:
+            node = _descend(node, part, assignment)
         last = parts[-1]
         if isinstance(node, list):
             idx = _list_index(node, last, assignment)
@@ -340,15 +340,11 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return out
 
 
-def _descend(node, part: str, assignment: str, create: bool):
+def _descend(node, part: str, assignment: str):
     if isinstance(node, list):
         return node[_list_index(node, part, assignment)]
     if isinstance(node, dict):
-        if part not in node:
-            if not create:
-                raise ConfigError(f"override {assignment!r}: no key {part!r}")
-            node[part] = {}
-        return node[part]
+        return node.setdefault(part, {})
     raise ConfigError(f"override {assignment!r}: cannot index into a scalar at {part!r}")
 
 

@@ -113,7 +113,7 @@ def _parse_float(row: list[str], index: int, name: str, line_no: int, path: str)
 def read_external_modes(path: str) -> list[ExternalModeRecord]:
     """Parse a mode CSV; raise :class:`ExternalModesError` with the offending
     line and field on any structural or numeric problem, including a
-    non-finite number (nan, inf)."""
+    non-finite number (nan, inf) and a header with no records after it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
                 if row and not row[0].lstrip().startswith("#")]
@@ -121,6 +121,8 @@ def read_external_modes(path: str) -> list[ExternalModeRecord]:
         raise ExternalModesError(f"{path}: no header row found")
     (_, header), data_rows = rows[0], rows[1:]
     positions, triples = _parse_header(header, path)
+    if not data_rows:
+        raise ExternalModesError(f"{path}: no mode records")
     records = []
     seen_lines: dict[str, int] = {}
     for line_no, row in data_rows:

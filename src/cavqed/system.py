@@ -31,15 +31,15 @@ through one ``eigh`` call, and every point gets the values it would get alone
 by greedy maximum-overlap assignment and flagged when the winning overlap is
 not above 1/2 (hybridization too strong for the label to mean anything).
 :func:`dipole_center_fields` likewise samples the fields at many dipoles in
-one :func:`eval_fields` call per mode.
+one :func:`eval_fields` call per mode, and :func:`transition_couplings` turns
+a sweep's fields into its rates g[p, k, q, j] in one expression.
 """
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,8 +151,8 @@ def dipole_center_fields(dipoles: Sequence[DipoleSpec], mode: CavityMode,
     triangular-current average).  :func:`eval_fields` is pointwise, so each
     dipole's field is bitwise the one it gets alone.
     """
-    axes = np.array([d.orientation for d in dipoles], dtype=float)
-    centers = np.array([d.center for d in dipoles], dtype=float)
+    axes = np.array([d.orientation for d in dipoles], dtype=float).reshape(-1, 3)
+    centers = np.array([d.center for d in dipoles], dtype=float).reshape(-1, 3)
     lengths = np.array([d.length for d in dipoles], dtype=float)
     fractions = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     points = (centers[:, None]
@@ -172,22 +172,11 @@ def dipole_center_fields(dipoles: Sequence[DipoleSpec], mode: CavityMode,
     return e_field[:, 2]
 
 
-def dipole_center_field(dipole: DipoleSpec, mode: CavityMode,
-                        geom: CavityGeometry) -> np.ndarray:
-    """Unit-normalized E vector of the mode at the dipole center: the
-    one-dipole :func:`dipole_center_fields`."""
-    return dipole_center_fields([dipole], mode, geom)[0]
-
-
-def _point_voltage(dipole: DipoleSpec, e_center) -> float:
-    return 0.5 * dipole.length * float(np.asarray(e_center, dtype=float)
-                                       @ np.asarray(dipole.orientation))
-
-
 def receiving_voltage(dipole: DipoleSpec, mode: CavityMode, geom: CavityGeometry) -> float:
     """Point-dipole receiving voltage (1/2) * l * (l_hat . E(center)) for the
-    unit-normalized mode field (see :func:`dipole_center_field`)."""
-    return _point_voltage(dipole, dipole_center_field(dipole, mode, geom))
+    unit-normalized mode field (see :func:`dipole_center_fields`)."""
+    e_center = dipole_center_fields([dipole], mode, geom)[0]
+    return 0.5 * dipole.length * float(e_center @ np.asarray(dipole.orientation))
 
 
 def receiving_voltage_line_integral(dipole: DipoleSpec, mode: CavityMode,
@@ -210,30 +199,43 @@ def receiving_voltage_line_integral(dipole: DipoleSpec, mode: CavityMode,
     return float(np.sum(weights * axial) * ds)
 
 
-def transition_couplings(qubit: QubitInstance, e_center, omega_k: float) -> np.ndarray:
-    """Coupling rates g[j] (rad/s) of every qubit transition j -> j+1 to a mode
-    of angular frequency ``omega_k`` whose unit-normalized E vector at the
-    dipole center is ``e_center`` (analytic or externally computed):
-    2e * |<j|n|j+1>| * sqrt(omega_k/(2*eps0*hbar)) * V_t."""
-    element = np.abs(qubit.spectrum.charge_elements)
-    v_t = qubit.divider * _point_voltage(qubit.dipole, e_center)
-    return 2.0 * E_CHARGE * element * math.sqrt(omega_k / (2.0 * EPS0 * HBAR)) * v_t
+def transition_couplings(point_qubits: Sequence[Sequence[QubitInstance]], fields,
+                         cavity_omegas: Sequence[float], n_levels: int) -> np.ndarray:
+    """Coupling rates g[p, k, q, j] (rad/s) of transition j -> j+1 of qubit q
+    of point p to mode k, j < n_levels-1, for a stack of P points:
+    ((2e * |<j|n|j+1>|) * sqrt(omega_k/(2*eps0*hbar))) * (divider * V_RX)
+    elementwise, so no point depends on the stack.  ``fields`` [p, k, q, xyz]
+    holds the unit-normalized E vectors at the dipole centers (analytic or
+    external).  ValueError when a spectrum lacks n_levels-1 charge elements."""
+    m = n_levels - 1
+    shape = (len(point_qubits), np.shape(fields)[2])  # [p, q]
+    qubits = [qubit for qubits in point_qubits for qubit in qubits]
+    for i, qubit in enumerate(qubits):
+        if len(qubit.spectrum.charge_elements) < m:
+            raise ValueError(f"qubit {i % shape[1]} spectrum has "
+                             f"{len(qubit.spectrum.charge_elements)} charge elements; "
+                             f"need {m}")
+    element = np.abs([qubit.spectrum.charge_elements[:m] for qubit in qubits])
+    divider = np.reshape([qubit.divider for qubit in qubits], shape)
+    half_length = 0.5 * np.reshape([qubit.dipole.length for qubit in qubits], shape)
+    axes = np.reshape([qubit.dipole.orientation for qubit in qubits], (*shape, 3))
+    # l_hat . E: one matmul dot per (p, k, q), bitwise `E @ l_hat` of one vector
+    dot = (np.asarray(fields, dtype=float)[..., None, :] @ axes[:, None, ..., None])[..., 0, 0]
+    rate = np.sqrt(np.asarray(cavity_omegas, dtype=float) / (2.0 * EPS0 * HBAR))
+    return (2.0 * E_CHARGE * element.reshape(*shape, m)[:, None] * rate[:, None, None]
+            * (divider[:, None] * (half_length[:, None] * dot))[..., None])
 
 
 def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode],
                     geom: CavityGeometry, n_levels: int) -> CouplingMatrix:
-    """All g[k, q, j] for j = 0..n_levels-2; requires each qubit spectrum to
-    provide n_levels-1 charge elements."""
-    g = np.zeros((len(modes), len(qubits), n_levels - 1))
-    for q, qubit in enumerate(qubits):
-        if len(qubit.spectrum.charge_elements) < n_levels - 1:
-            raise ValueError(
-                f"qubit {q} spectrum has {len(qubit.spectrum.charge_elements)} "
-                f"charge elements; need {n_levels - 1}")
-        for k, mode in enumerate(modes):
-            e_center = dipole_center_field(qubit.dipole, mode, geom)
-            g[k, q] = transition_couplings(qubit, e_center, mode.omega)[:n_levels - 1]
-    return CouplingMatrix(g=g)
+    """All g[k, q, j] for j = 0..n_levels-2 of one set of qubits: the
+    one-point :func:`transition_couplings`, with the fields of each mode at
+    all the dipoles from one :func:`dipole_center_fields` call."""
+    dipoles = [qubit.dipole for qubit in qubits]
+    fields = [dipole_center_fields(dipoles, mode, geom) for mode in modes]
+    return CouplingMatrix(g=transition_couplings(
+        [qubits], np.reshape(fields, (1, len(modes), len(qubits), 3)),
+        [mode.omega for mode in modes], n_levels)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +395,7 @@ def _sector_layout(n_qubits: int, n_cavities: int, n_levels: int) -> _SectorLayo
 
 
 def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
-                   basis: SystemBasis) -> Iterator[DressedSpectrum]:
+                   basis: SystemBasis) -> list[DressedSpectrum]:
     """Dressed spectra of the excitation-number sectors N <= 2, the sectors
     of every state :func:`dispersive_params` reads, for a stack of P points
     that share the basis and the cavity frequencies.
@@ -411,10 +413,9 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
     and a point's spectrum does not depend on the stack it is solved in.
     Points are solved in chunks whose blocks hold at most
     :data:`MAX_SECTOR_STATES` ** 2 entries per ``eigh`` call, and the spectra
-    are produced one point at a time, in order.  Inputs that do not match
-    the basis, and a basis whose N = 2 block would exceed
-    :data:`MAX_SECTOR_STATES`, raise ValueError when the first spectrum is
-    asked for, before anything is allocated.
+    are returned in point order.  Inputs that do not match the basis, and a
+    basis whose N = 2 block would exceed :data:`MAX_SECTOR_STATES`, raise
+    ValueError before anything is allocated.
     """
     n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
     levels = np.asarray(levels, dtype=float)
@@ -439,6 +440,7 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
     occ = layout.occ
     largest = max(len(sector.rows) for sector in layout.sectors)
     per_chunk = max(1, MAX_SECTOR_STATES**2 // largest**2)
+    spectra = []
     for start in range(0, len(levels), per_chunk):
         chunk = slice(start, start + per_chunk)
         n_points = len(levels[chunk])
@@ -465,9 +467,10 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
             assigned = _greedy_assign(overlap2)
             energies[:, rows] = values[point, assigned]
             overlaps[:, rows] = overlap2[point, np.arange(n), assigned]
-        for e_row, o_row in zip(energies, overlaps):
-            yield DressedSpectrum(basis, dict(zip(layout.labels,
-                                                  zip(e_row.tolist(), o_row.tolist()))))
+        spectra.extend(DressedSpectrum(basis, dict(zip(layout.labels,
+                                                       zip(e_row.tolist(), o_row.tolist()))))
+                       for e_row, o_row in zip(energies, overlaps))
+    return spectra
 
 
 def sector_spectrum(spectra: Sequence[TransmonSpectrum],
@@ -483,8 +486,8 @@ def sector_spectrum(spectra: Sequence[TransmonSpectrum],
             raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
                              f"basis needs {m}")
     levels = np.array([spec.levels[:m] for spec in spectra], dtype=float)
-    return next(sector_spectra(levels.reshape(1, len(spectra), m), cavity_omegas,
-                               couplings.g[None], basis))
+    return sector_spectra(levels.reshape(1, len(spectra), m), cavity_omegas,
+                          couplings.g[None], basis)[0]
 
 
 @dataclass(frozen=True)

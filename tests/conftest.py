@@ -74,3 +74,19 @@ def reference_system(geom, probes, te101, te102, center_dipole):
                              c_ant=c_ant, c_load=C_LOAD)
     return {"modes": perturbed, "c_ant": c_ant, "params": params,
             "spectrum": spectrum, "qubit": qubit}
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """(mode, dipole centers) of every eval_fields call that samples
+    dipoles (five points along each)."""
+    calls = []
+    evaluate = cq.system.eval_fields
+
+    def counted(mode, geom, points):
+        centers = [tuple(center) for center in points[:, 2].tolist()]
+        calls.append((mode.index, centers))
+        return evaluate(mode, geom, points)
+
+    monkeypatch.setattr(cq.system, "eval_fields", counted)
+    return calls

@@ -9,13 +9,14 @@ reference assembles the rotating-wave Hamiltonian on the whole truncated
 product space with Kronecker products and diagonalizes it in one piece; it
 shares no fill code with the sector solver it checks.  The textbook
 estimates at the end (harmonic transmon limits, the two-level chi, the
-capacitive divider) are scale and sign references for the exact results.
+capacitive divider) are scale and sign references for the exact results;
+the coupling chain is evaluated there one qubit and one mode at a time.
 """
 import math
 
 import numpy as np
 
-from cavqed.constants import HBAR
+from cavqed.constants import E_CHARGE, EPS0, HBAR
 from cavqed.hom import spectral_weights
 from cavqed.ports import transfer_functions
 from cavqed.system import DressedSpectrum, _greedy_assign
@@ -211,3 +212,15 @@ def terminal_voltage(v_rx, c_ant, c_load):
     if c_ant <= 0 or c_load <= 0:
         raise ValueError("capacitances must be positive")
     return c_ant / (c_ant + c_load) * v_rx
+
+
+def qubit_mode_couplings(qubit, e_center, omega_k, n_levels):
+    """g[j] (rad/s), j < n_levels - 1, of one qubit to one mode whose E vector
+    at the dipole center is ``e_center``, one scalar at a time:
+    2e * |<j|n|j+1>| * sqrt(omega_k/(2*eps0*hbar)) * V_t with
+    V_t the divider applied to V_RX = (1/2) * l * (l_hat . E)."""
+    v_rx = 0.5 * qubit.dipole.length * float(np.asarray(e_center)
+                                             @ np.asarray(qubit.dipole.orientation))
+    v_t = terminal_voltage(v_rx, qubit.c_ant, qubit.c_load)
+    element = np.abs(qubit.spectrum.charge_elements[:n_levels - 1])
+    return 2.0 * E_CHARGE * element * math.sqrt(omega_k / (2.0 * EPS0 * HBAR)) * v_t

@@ -321,9 +321,9 @@ def zz_solves(tmp_path_factory):
     solves = []
 
     def captured(*args):
-        for dressed in cq.sector_spectra(*args):
-            solves.append((args, dressed))
-            yield dressed
+        spectra = cq.sector_spectra(*args)
+        solves.extend((args, dressed) for dressed in spectra)
+        return spectra
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "sector_spectra", captured)
@@ -376,7 +376,7 @@ def test_gap_points_independent_of_stack(zz_solves):
     ((levels, omegas, g, basis), sampled), gaps = zz_solves
     stack_levels = np.concatenate([gaps[0][2][0][0], levels, gaps[1][2][0][0]])
     stack_g = np.concatenate([gaps[0][2][0][2], g, gaps[1][2][0][2]])
-    stacked = list(cq.sector_spectra(stack_levels, omegas, stack_g, basis))
+    stacked = cq.sector_spectra(stack_levels, omegas, stack_g, basis)
     alone = [gaps[0][2][1], *sampled, gaps[1][2][1]]
     assert len(stacked) == len(alone) == 53
     for solved, expected in zip(stacked, alone):

@@ -231,22 +231,19 @@ class TestDispersive:
         assert payload["average_chi_MHz"] < 0.0
         assert {"x_mm", "z_mm"} <= set(payload["points"][0])
 
-    @pytest.fixture
-    def field_calls(self, monkeypatch):
-        """(mode, dipole centers) of every eval_fields call that samples
-        dipoles (five points along each)."""
-        calls = []
-        evaluate = cq.system.eval_fields
+    def test_fields_evaluated_once_per_dipole_and_mode(self, tmp_path, field_calls,
+                                                       monkeypatch):
+        # each run fills the couplings g[point, mode, qubit, transition] of
+        # all its points in one transition_couplings call
+        couplings = []
+        couple = cli.transition_couplings
 
-        def counted(mode, geom, points):
-            centers = [tuple(center) for center in points[:, 2].tolist()]
-            calls.append((mode.index, centers))
-            return evaluate(mode, geom, points)
+        def recorded(*args):
+            g = couple(*args)
+            couplings.append(g.shape)
+            return g
 
-        monkeypatch.setattr(cq.system, "eval_fields", counted)
-        return calls
-
-    def test_fields_evaluated_once_per_dipole_and_mode(self, tmp_path, field_calls):
+        monkeypatch.setattr(cli, "transition_couplings", recorded)
         # an L_J sweep moves no dipole: one evaluation per (qubit, mode), the
         # two fixed dipoles sharing one eval_fields call per mode
         assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out",
@@ -255,9 +252,11 @@ class TestDispersive:
         fields = [(mode, center) for mode, centers in field_calls for center in centers]
         assert len(field_calls) == 3 == len({mode for mode, _ in field_calls})
         assert len(fields) == 2 * 3 == len(set(fields))
+        assert couplings == [(7, 3, 2, 2)]
         # a position grid moves the swept dipole: one evaluation per point per
         # mode, all the points' dipoles in one eval_fields call per mode
         field_calls.clear()
+        couplings.clear()
         assert cli.main(["dispersive", "--config", CHI_MAP, "--out",
                          str(tmp_path / "grid.json"), "--override", "dispersive.M=3",
                          "--override", "dispersive.sweep.n_x=3",
@@ -265,6 +264,7 @@ class TestDispersive:
         fields = [(mode, center) for mode, centers in field_calls for center in centers]
         assert len(field_calls) == 2 == len({mode for mode, _ in field_calls})
         assert len(fields) == 9 * 2 == len(set(fields))
+        assert couplings == [(9, 2, 1, 2)]
 
     def test_chi_map_point_independent_of_sweep(self, tmp_path):
         grid = tmp_path / "grid.json"
@@ -491,6 +491,20 @@ class TestIngestCheck:
         rc = cli.main(["ingest-check", "--config", TABLE1])
         assert rc == 2
         assert "external_modes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest-check", "hom", "dispersive"])
+def test_header_only_mode_file_refused(tmp_path, capsys, command):
+    modes_csv = tmp_path / "ext.csv"
+    modes_csv.write_text("mode_label,f_GHz,Ex,Ey,Ez,g_port1,g_port2\n")
+    cfg = yaml.safe_load(Path(HOM if command == "hom" else TABLE1).read_text())
+    cfg["external_modes"] = str(modes_csv)
+    config = tmp_path / "ext.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f"{modes_csv}: no mode records" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _external_config(tmp_path):

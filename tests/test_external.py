@@ -153,6 +153,12 @@ class TestRead:
         with pytest.raises(ExternalModesError, match="no header"):
             cq.read_external_modes(self.write(tmp_path, ""))
 
+    def test_header_only_file(self, tmp_path):
+        path = self.write(tmp_path, "mode_label,f_GHz,Ex,Ey,Ez,g_port1,g_port2\n"
+                                    "# no records follow\n")
+        with pytest.raises(ExternalModesError, match="modes.csv: no mode records"):
+            cq.read_external_modes(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             cq.read_external_modes(str(tmp_path / "absent.csv"))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -82,7 +84,7 @@ class TestReceivingVoltage:
                                     center=(geom.a / 2, geom.b / 2, 15e-3),
                                     orientation=(0.0, 1.0, 1.0))
         with pytest.warns(FieldVariationWarning) as alone:
-            fields = [cq.dipole_center_field(dipole, te102, geom)
+            fields = [cq.dipole_center_fields([dipole], te102, geom)[0]
                       for dipole in (center_dipole, long_tilted)]
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
@@ -113,7 +115,8 @@ class TestCouplingRates:
         qubit = reference_system["qubit"]
         mode = reference_system["modes"][0]
         e_field, _ = cq.eval_fields(mode, geom, qubit.dipole.center)
-        g_field = cq.transition_couplings(qubit, e_field, mode.omega)[0]
+        g_field = cq.transition_couplings([[qubit]], np.reshape(e_field, (1, 1, 1, 3)),
+                                          [mode.omega], n_levels=2)[0, 0, 0, 0]
         g_direct = cq.coupling_matrix([qubit], [mode], geom, n_levels=2).g[0, 0, 0]
         npt.assert_allclose(g_field, g_direct, rtol=1e-12)
 
@@ -124,8 +127,54 @@ class TestCouplingRates:
                                        n_levels=4)
         assert couplings.g.shape == (2, 1, 3)
         g_direct = cq.transition_couplings(
-            qubit, cq.dipole_center_field(qubit.dipole, mode, geom), mode.omega)[2]
+            [[qubit]], cq.dipole_center_fields([qubit.dipole], mode, geom)[None, None],
+            [mode.omega], n_levels=4)[0, 0, 0, 2]
         npt.assert_allclose(couplings.g[1, 0, 2], g_direct, rtol=0)
+
+    def test_stacked_couplings_equal_points_alone(self, reference_system, geom,
+                                                  te101, te102):
+        """Every point of a stacked call gets bitwise the rates of its own
+        one-point call, of coupling_matrix and of the scalar chain: 1 and 2
+        qubits, an upright and a tilted dipole, two spectra with more charge
+        elements than the three levels use, two dividers."""
+        base = reference_system["qubit"]
+        tilted = dataclasses.replace(base.dipole, center=(8e-3, 4e-3, 15e-3),
+                                     orientation=(0.3, 1.0, 0.5))
+        params = cq.TransmonParams.from_circuit(base.c_ant + C_LOAD, 7e-9)
+        other = cq.transmon_spectrum(params, n_levels=4)
+        variants = [base, dataclasses.replace(base, dipole=tilted),
+                    dataclasses.replace(base, spectrum=other, c_load=2 * C_LOAD),
+                    dataclasses.replace(base, dipole=tilted, spectrum=other)]
+        modes = [te101, te102]
+        omegas = [mode.omega for mode in modes]
+        for n_qubits in (1, 2):
+            point_qubits = [list(qubits)
+                            for qubits in itertools.product(variants, repeat=n_qubits)]
+            fields = np.array([[cq.dipole_center_fields([q.dipole for q in qubits],
+                                                        mode, geom)
+                                for mode in modes] for qubits in point_qubits])
+            stacked = cq.transition_couplings(point_qubits, fields, omegas, n_levels=3)
+            assert stacked.shape == (4**n_qubits, 2, n_qubits, 2)
+            for qubits, field, g in zip(point_qubits, fields, stacked):
+                alone = cq.transition_couplings([qubits], field[None], omegas, n_levels=3)
+                assert alone[0].tobytes() == g.tobytes()
+                matrix = cq.coupling_matrix(qubits, modes, geom, n_levels=3)
+                assert matrix.g.tobytes() == g.tobytes()
+                chain = [[oracles.qubit_mode_couplings(qubit, field[k, q], omegas[k], 3)
+                          for q, qubit in enumerate(qubits)] for k in range(len(modes))]
+                assert np.array(chain).tobytes() == g.tobytes()
+
+    def test_coupling_matrix_one_field_call_per_mode(self, reference_system, geom,
+                                                     te101, te102, field_calls):
+        qubit = reference_system["qubit"]
+        moved = dataclasses.replace(
+            qubit, dipole=dataclasses.replace(qubit.dipole, center=(8e-3, 5e-3, 15e-3)))
+        te103 = cq.make_mode(cq.ModeIndex("TE", 1, 0, 3), geom)
+        couplings = cq.coupling_matrix([qubit, moved], [te101, te102, te103], geom,
+                                       n_levels=3)
+        assert couplings.g.shape == (3, 2, 2)
+        assert field_calls == [(mode.index, [qubit.dipole.center, moved.dipole.center])
+                               for mode in (te101, te102, te103)]
 
     def test_coupling_matrix_needs_enough_elements(self, reference_system, geom):
         with pytest.raises(ValueError):
@@ -467,6 +516,12 @@ class TestSectorSpectrum:
                                         charge_elements=spec.charge_elements[:1])
         with pytest.raises(ValueError, match="provides 2 levels; basis needs 6"):
             cq.sector_spectrum([two_level], omegas, couplings, basis)
+        # the stacked call checks its inputs at the call, nothing iterated
+        levels = np.zeros((2, 1, 6))
+        with pytest.raises(ValueError, match="2 points of levels but 3 of couplings"):
+            cq.sector_spectra(levels, omegas, np.zeros((3, 2, 1, 5)), basis)
+        with pytest.raises(ValueError, match="levels hold 5 per qubit"):
+            cq.sector_spectra(levels[:, :, :5], omegas, np.zeros((2, 2, 1, 5)), basis)
 
 
 # Relative distance (to the largest |energy|) below which two dense
@@ -595,7 +650,7 @@ def test_stacked_points_equal_points_alone():
         points, omegas, basis = stack
         levels = np.array([[spec.levels for spec in spectra] for spectra, _ in points])
         g = np.array([couplings.g for _, couplings in points])
-        stacked = list(cq.sector_spectra(levels, omegas, g, basis))
+        stacked = cq.sector_spectra(levels, omegas, g, basis)
         assert len(stacked) == len(points)
         for (spectra, couplings), dressed in zip(points, stacked):
             alone = cq.sector_spectrum(spectra, omegas, couplings, basis)
