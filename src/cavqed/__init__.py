@@ -11,15 +11,14 @@ from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
                      TransmonRegimeWarning, UndefinedCorrelationError)
 from .external import ExternalModeRecord, read_external_modes, write_external_modes
 from .hom import (FrequencyGrid, HomCurve, PhotonWavepacket,
-                  balanced_center_frequency, default_grid, g2, g2_integrated,
-                  hom_curve, scan_balanced_center, spectral_weights)
-from .perturbation import (PerturbationResult, perturbed_frequency_quadrature,
-                           perturbed_frequency_tip, tip_point)
+                  balanced_center_frequency, default_grid, hom_curve,
+                  scan_balanced_center, spectral_weights)
+from .perturbation import PerturbationResult, perturbed_frequency_tip, tip_point
 from .ports import (PortCoupling, ScatteringResponse, half_power_bandwidth,
                     port_coupling, transfer_functions, two_port_response)
 from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
                      QubitInstance, SystemBasis, coupling_matrix,
-                     dipole_center_fields, dispersive_params, receiving_voltage,
+                     dipole_center_fields, dispersive_params,
                      receiving_voltage_line_integral, sector_spectra,
                      sector_spectrum, transition_couplings,
                      validate_qubit_placement)

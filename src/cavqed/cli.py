@@ -339,13 +339,14 @@ def _evaluate_sweep(point_inputs, omegas, fields_at, basis, chi_qubit, chi_cavit
 
 
 def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str,
-                  omega_ref: float, m_levels: int) -> list[tuple[list, dict]]:
+                  m_levels: int) -> list[tuple[list, dict]]:
     """Inputs of every sweep point: its qubit list and its extra output keys."""
     if sweep_type == "none":
         return [(qubits, {})]
     qi = int(get_setting(cfg, "dispersive.sweep.qubit"))
     if not 0 <= qi < len(qubits):
         raise ConfigError(f"sweep qubit index {qi} out of range")
+    base = qubits[qi]
     swept = []  # (replacement for qubit qi, extra output keys)
     if sweep_type == "position_grid":
         n_x = int(get_setting(cfg, "dispersive.sweep.n_x"))
@@ -356,9 +357,7 @@ def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str
         for x in np.linspace(margin, geom.a / 2.0, n_x).tolist():
             for z in np.linspace(margin, geom.d / 2.0, n_z).tolist():
                 moved = dataclasses.replace(
-                    qubits[qi],
-                    dipole=dataclasses.replace(qubits[qi].dipole,
-                                               center=(x, geom.b / 2.0, z)))
+                    base, dipole=dataclasses.replace(base.dipole, center=(x, geom.b / 2.0, z)))
                 validate_qubit_placement(moved, geom)
                 swept.append((moved, {"x_mm": x / 1e-3, "z_mm": z / 1e-3}))
     elif sweep_type == "L_J":
@@ -366,9 +365,11 @@ def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str
         stop = float(get_setting(cfg, "dispersive.sweep.stop_nH"))
         n_points = int(get_setting(cfg, "dispersive.sweep.n_points"))
         for l_nh in np.linspace(start, stop, n_points).tolist():
-            qubit_cfg = dict(cfg["qubits"][qi], L_J_nH=l_nh)
-            swept.append((_build_qubit(qubit_cfg, geom, omega_ref, m_levels),
-                          {"L_J_nH": l_nh}))
+            # the dipole stays put: only the junction, hence the spectrum, changes
+            params = TransmonParams.from_circuit(base.c_ant + base.c_load, nh_to_henry(l_nh))
+            swept.append((dataclasses.replace(
+                base, spectrum=transmon_spectrum(params, n_levels=m_levels)),
+                {"L_J_nH": l_nh}))
     else:  # pragma: no cover - schema forbids other values
         raise ConfigError(f"unknown sweep type {sweep_type!r}")
     return [(qubits[:qi] + [qubit] + qubits[qi + 1:], extra) for qubit, extra in swept]
@@ -397,7 +398,7 @@ def cmd_dispersive(args) -> int:
     if sweep_type == "position_grid" and mode_source == "external":
         raise ConfigError("position_grid sweeps need analytic modes "
                           "(external fields are fixed per site)")
-    point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, omega_ref, m_levels)
+    point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, m_levels)
     basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(omegas), n_levels=m_levels)
     points = list(_evaluate_sweep(point_inputs, omegas, fields_at, basis,
                                   chi_qubit, chi_cavity, zeta_pair))

@@ -27,6 +27,7 @@ import yaml
 from .cavity import CavityGeometry, CoaxProbe, ModeIndex
 from .errors import ConfigError
 from .hom import DEFAULT_N_BINS
+from .ports import DEFAULT_N_PHI, DEFAULT_N_RHO
 from .transmon import DipoleSpec
 
 SCHEMA_VERSION = 1
@@ -176,8 +177,8 @@ CONFIG_SCHEMA = {
 DEFAULTS = {
     "geometry.eps_r": 1.0,
     "modes.f_max_GHz": 15.0,
-    "quadrature.n_rho": 64,
-    "quadrature.n_phi": 64,
+    "quadrature.n_rho": DEFAULT_N_RHO,
+    "quadrature.n_phi": DEFAULT_N_PHI,
     "hom.sigma1_us": 2.5,
     "hom.sigma2_us": 2.5,
     "hom.center": "balanced",

@@ -3,14 +3,14 @@ scattered through the two-port cavity.
 
 Two normalizations of g2(tau) are provided:
 
-``g2`` (time-local)
+``"time_local"``
     The discretized frequency-domain sums A, B, C for detection events at two
     fixed times t0 and t0 + tau, with g2 = A/(B*C).  This is the quantity the
     brute-force two-photon oracle reproduces termwise.  Its distinguishable-
     photon limit (|tau| >> sigma) is exactly 1: at large delay, coincidences
     at the two specific times factorize into independent singles.
 
-``g2_integrated``
+``"integrated"``
     The coincidence *fraction*: the numerator integrated over both detection
     times at fixed delay (Parseval-reduced to closed form in frequency space),
     divided by the product of total singles.  Its distinguishable-photon limit
@@ -158,7 +158,7 @@ def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacke
     """Coincidences A and detector singles B, C (g2 = A/(B*C)) for detectors at
     t0 and t0 + tau, for a scalar or an array ``tau``, from one response and one
     spectrum per packet.  ``"time_local"`` gives the sums the brute-force oracle
-    checks termwise; ``"integrated"`` the terms of :func:`g2_integrated`.
+    checks termwise; ``"integrated"`` the closed-form terms of :func:`hom_curve`.
 
     Every sum skips the bins where both packet weights are exactly zero: the
     response and all sums are evaluated only from the first to the last bin
@@ -198,39 +198,12 @@ def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacke
 
 def _g2_at(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
            tau: float, grid: FrequencyGrid, normalization: str) -> float:
+    """g2 at one delay, for :func:`scan_balanced_center`; raises
+    :class:`UndefinedCorrelationError` when a detector sees zero flux."""
     a, b, c = _abc(resp, pkt1, pkt2, float(tau), grid, normalization=normalization)
     if b * c == 0.0:
         raise UndefinedCorrelationError("zero flux at a detector; g2 undefined")
     return float(a / (b * c))
-
-
-def g2(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
-       tau: float, grid: FrequencyGrid) -> float:
-    """Time-local second-order correlation A/(B*C) at delay ``tau``.
-
-    Requires pkt1 on port 1 and pkt2 on port 2.  Raises
-    :class:`UndefinedCorrelationError` when a detector sees zero flux.
-    """
-    return _g2_at(resp, pkt1, pkt2, tau, grid, "time_local")
-
-
-def g2_integrated(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
-                  tau: float, grid: FrequencyGrid) -> float:
-    """Time-integrated coincidence fraction at packet delay ``tau``.
-
-    Closed form (Parseval over both detection times): with G_i the normalized
-    packet spectra and R, T the transfer functions,
-
-        P1 = sum|G1*R1|^2,  Q1 = sum|G2*T12|^2   (detector 1 singles pieces)
-        P2 = sum|G2*R2|^2,  Q2 = sum|G1*T21|^2   (detector 2 singles pieces)
-        X  = sum G1*R1*conj(G2*T12)*exp(-i*omega*tau)
-        Y  = sum G2*R2*conj(G1*T21)*exp(+i*omega*tau)
-
-        g2_integrated = (P1*P2 + Q1*Q2 + 2*Re(X*Y)) / ((P1+Q1)*(P2+Q2)).
-
-    Always in [0, 1]; tends to exactly 1/2 for fully distinguishable packets.
-    """
-    return _g2_at(resp, pkt1, pkt2, tau, grid, "integrated")
 
 
 def hom_curve(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
@@ -239,8 +212,21 @@ def hom_curve(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWave
 
     ``normalization``: ``"integrated"`` (default; 0.5 tails, the conventional
     plotted curve) or ``"time_local"`` (A/(B*C) at fixed detection times;
-    tails -> 1).
+    tails -> 1).  Requires pkt1 on port 1 and pkt2 on port 2.
     Delays where a detector sees zero flux are NaN, not raised.
+
+    The integrated fraction in closed form (Parseval over both detection
+    times): with G_i the normalized packet spectra and R, T the transfer
+    functions,
+
+        P1 = sum|G1*R1|^2,  Q1 = sum|G2*T12|^2   (detector 1 singles pieces)
+        P2 = sum|G2*R2|^2,  Q2 = sum|G1*T21|^2   (detector 2 singles pieces)
+        X  = sum G1*R1*conj(G2*T12)*exp(-i*omega*tau)
+        Y  = sum G2*R2*conj(G1*T21)*exp(+i*omega*tau)
+
+        g2 = (P1*P2 + Q1*Q2 + 2*Re(X*Y)) / ((P1+Q1)*(P2+Q2)),
+
+    always in [0, 1]; tends to exactly 1/2 for fully distinguishable packets.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1:

@@ -24,9 +24,6 @@ from .cavity import CavityGeometry, CavityMode, CoaxProbe, eval_fields
 #: Stored-energy denominator for unit-normalized modes.
 TOTAL_ENERGY_DENOMINATOR = 2.0
 
-#: Default (n_rho, n_phi, n_axial) midpoint resolution for the quadrature oracle.
-DEFAULT_QUADRATURE_RESOLUTION = (8, 16, 32)
-
 
 @dataclass(frozen=True)
 class PerturbationResult:
@@ -86,34 +83,4 @@ def perturbed_frequency_tip(mode: CavityMode, geom: CavityGeometry,
         E, H = eval_fields(mode, geom, tip_point(probe, geom))
         dv = math.pi * probe.r_inner**2 * probe.h
         numerator += (float(H @ H) - geom.eps_r * float(E @ E)) * dv
-    return _result(mode, numerator)
-
-
-def perturbed_frequency_quadrature(mode: CavityMode, geom: CavityGeometry,
-                                   probes: list[CoaxProbe],
-                                   resolution: tuple[int, int, int] = DEFAULT_QUADRATURE_RESOLUTION,
-                                   ) -> PerturbationResult:
-    """Quadrature oracle: midpoint integration of ``|H|^2 - eps_r |E|^2`` over each
-    probe's inner-conductor cylinder at the given (n_rho, n_phi, n_axial) resolution."""
-    _validate_probes(geom, probes)
-    n_rho, n_phi, n_ax = resolution
-    if min(n_rho, n_phi, n_ax) < 1:
-        raise ValueError("quadrature resolution components must be >= 1")
-    numerator = 0.0
-    for probe in probes:
-        if probe.h == 0:
-            continue
-        d_rho = probe.r_inner / n_rho
-        d_phi = 2.0 * math.pi / n_phi
-        d_y = probe.h / n_ax
-        rhos = (np.arange(n_rho) + 0.5) * d_rho
-        phis = (np.arange(n_phi) + 0.5) * d_phi
-        depth = (np.arange(n_ax) + 0.5) * d_y
-        ys = depth if probe.wall == "bottom" else geom.b - depth
-        rho_g, phi_g, y_g = np.meshgrid(rhos, phis, ys, indexing="ij")
-        pts = np.stack([probe.x0 + rho_g * np.cos(phi_g), y_g,
-                        probe.z0 + rho_g * np.sin(phi_g)], axis=-1)
-        E, H = eval_fields(mode, geom, pts)
-        density = np.sum(H * H, axis=-1) - geom.eps_r * np.sum(E * E, axis=-1)
-        numerator += float(np.sum(density * rho_g) * d_rho * d_phi * d_y)
     return _result(mode, numerator)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, CavityMode, CoaxProbe, ModeIndex, coax_tem_profile, eval_fields
+from .cavity import CavityGeometry, CavityMode, CoaxProbe, coax_tem_profile, eval_fields
 from .constants import C0
 from .errors import DegenerateResponseError
 from .perturbation import perturbed_frequency_tip
@@ -41,8 +41,6 @@ class PortCoupling:
     (and wall side) at the port location."""
 
     g: float
-    port_id: int
-    mode_index: ModeIndex
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,7 @@ class ScatteringResponse:
 
 
 def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe,
-                  n_rho: int = DEFAULT_N_RHO, n_phi: int = DEFAULT_N_PHI,
-                  port_id: int = 0) -> PortCoupling:
+                  n_rho: int = DEFAULT_N_RHO, n_phi: int = DEFAULT_N_PHI) -> PortCoupling:
     """Annulus overlap integral by the trapezoidal rule in rho and phi.
 
     ``n_rho``/``n_phi`` are node counts (>= 2 and >= 4 respectively).  The
@@ -96,7 +93,7 @@ def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe,
     cross[..., 2] = n_into * e_tem[..., 0]
     integrand = np.sum(H * cross, axis=-1) * rho_g
     g = 0.5 * C0 * float(w_rho @ integrand @ w_phi)
-    return PortCoupling(g=g, port_id=port_id, mode_index=mode.index)
+    return PortCoupling(g=g)
 
 
 def two_port_response(mode: CavityMode, geom: CavityGeometry,
@@ -107,8 +104,8 @@ def two_port_response(mode: CavityMode, geom: CavityGeometry,
     over both probes) plus the two port couplings."""
     p1, p2 = probes
     omega0 = perturbed_frequency_tip(mode, geom, [p1, p2]).omega_perturbed
-    g1 = port_coupling(mode, geom, p1, n_rho, n_phi, port_id=1).g
-    g2 = port_coupling(mode, geom, p2, n_rho, n_phi, port_id=2).g
+    g1 = port_coupling(mode, geom, p1, n_rho, n_phi).g
+    g2 = port_coupling(mode, geom, p2, n_rho, n_phi).g
     return ScatteringResponse(omega0=omega0, g1=g1, g2=g2)
 
 

@@ -172,13 +172,6 @@ def dipole_center_fields(dipoles: Sequence[DipoleSpec], mode: CavityMode,
     return e_field[:, 2]
 
 
-def receiving_voltage(dipole: DipoleSpec, mode: CavityMode, geom: CavityGeometry) -> float:
-    """Point-dipole receiving voltage (1/2) * l * (l_hat . E(center)) for the
-    unit-normalized mode field (see :func:`dipole_center_fields`)."""
-    e_center = dipole_center_fields([dipole], mode, geom)[0]
-    return 0.5 * dipole.length * float(e_center @ np.asarray(dipole.orientation))
-
-
 def receiving_voltage_line_integral(dipole: DipoleSpec, mode: CavityMode,
                                     geom: CavityGeometry, n_samples: int = 201) -> float:
     """Triangular-current receiving voltage

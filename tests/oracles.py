@@ -11,15 +11,23 @@ shares no fill code with the sector solver it checks.  The textbook
 estimates at the end (harmonic transmon limits, the two-level chi, the
 capacitive divider) are scale and sign references for the exact results;
 the coupling chain is evaluated there one qubit and one mode at a time.
+The probe perturbation is integrated over each pin's whole volume, against
+the library's tip sampling.
 """
 import math
 
 import numpy as np
 
+from cavqed.cavity import eval_fields
 from cavqed.constants import E_CHARGE, EPS0, HBAR
 from cavqed.hom import spectral_weights
+from cavqed.perturbation import _result, _validate_probes
 from cavqed.ports import transfer_functions
 from cavqed.system import DressedSpectrum, _greedy_assign
+
+#: Default (n_rho, n_phi, n_axial) midpoint resolution of
+#: :func:`perturbed_frequency_quadrature`.
+DEFAULT_QUADRATURE_RESOLUTION = (8, 16, 32)
 
 
 def brute_force_abc(resp, w1, w2, omegas, tau, t0=0.0):
@@ -224,3 +232,33 @@ def qubit_mode_couplings(qubit, e_center, omega_k, n_levels):
     v_t = terminal_voltage(v_rx, qubit.c_ant, qubit.c_load)
     element = np.abs(qubit.spectrum.charge_elements[:n_levels - 1])
     return 2.0 * E_CHARGE * element * math.sqrt(omega_k / (2.0 * EPS0 * HBAR)) * v_t
+
+
+def perturbed_frequency_quadrature(mode, geom, probes,
+                                   resolution=DEFAULT_QUADRATURE_RESOLUTION):
+    """Midpoint integration of ``|H|^2 - eps_r |E|^2`` over each probe's
+    inner-conductor cylinder at the given (n_rho, n_phi, n_axial) resolution:
+    the volume integral that ``cavqed.perturbation.perturbed_frequency_tip``
+    samples at the tip."""
+    _validate_probes(geom, probes)
+    n_rho, n_phi, n_ax = resolution
+    if min(n_rho, n_phi, n_ax) < 1:
+        raise ValueError("quadrature resolution components must be >= 1")
+    numerator = 0.0
+    for probe in probes:
+        if probe.h == 0:
+            continue
+        d_rho = probe.r_inner / n_rho
+        d_phi = 2.0 * math.pi / n_phi
+        d_y = probe.h / n_ax
+        rhos = (np.arange(n_rho) + 0.5) * d_rho
+        phis = (np.arange(n_phi) + 0.5) * d_phi
+        depth = (np.arange(n_ax) + 0.5) * d_y
+        ys = depth if probe.wall == "bottom" else geom.b - depth
+        rho_g, phi_g, y_g = np.meshgrid(rhos, phis, ys, indexing="ij")
+        pts = np.stack([probe.x0 + rho_g * np.cos(phi_g), y_g,
+                        probe.z0 + rho_g * np.sin(phi_g)], axis=-1)
+        E, H = eval_fields(mode, geom, pts)
+        density = np.sum(H * H, axis=-1) - geom.eps_r * np.sum(E * E, axis=-1)
+        numerator += float(np.sum(density * rho_g) * d_rho * d_phi * d_y)
+    return _result(mode, numerator)

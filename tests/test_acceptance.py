@@ -171,9 +171,10 @@ def test_criterion_07_hom_dip_and_tails(response):
     pkt1 = cq.PhotonWavepacket(omega_in=center, sigma=sigma, port=1)
     pkt2 = cq.PhotonWavepacket(omega_in=center, sigma=sigma, port=2)
     grid = cq.default_grid(response, sigma, n_bins=8192)
-    dip = cq.g2(response, pkt1, pkt2, 0.0, grid)
-    tails = [cq.g2_integrated(response, pkt1, pkt2, tau, grid)
-             for tau in (-10 * sigma, 10 * sigma)]
+    dip = cq.hom_curve(response, pkt1, pkt2, [0.0], grid,
+                       normalization="time_local").g2_values[0]
+    tails = cq.hom_curve(response, pkt1, pkt2, [-10 * sigma, 10 * sigma], grid,
+                         normalization="integrated").g2_values
     elapsed = time.perf_counter() - start
     tail_dev = max(abs(t - 0.5) for t in tails)
     ok = dip <= 1e-3 and tail_dev <= 1e-2 and elapsed < 120.0

@@ -9,7 +9,7 @@ import cavqed as cq
 from cavqed import config
 from cavqed.errors import (DegenerateResponseError, GridCoverageWarning,
                            UndefinedCorrelationError)
-from cavqed.hom import _abc
+from cavqed.hom import _abc, _g2_at
 
 import oracles
 
@@ -28,6 +28,12 @@ def balanced(response):
     pkt2 = cq.PhotonWavepacket(omega_in=center, sigma=SIGMA, port=2)
     grid = cq.default_grid(response, SIGMA, n_bins=8192)
     return pkt1, pkt2, grid
+
+
+def one_delay_g2(resp, pkt1, pkt2, tau, grid, normalization):
+    """The correlation at one delay: a one-delay :func:`cavqed.hom_curve`."""
+    return cq.hom_curve(resp, pkt1, pkt2, [tau], grid,
+                        normalization=normalization).g2_values[0]
 
 
 class TestDataclasses:
@@ -137,29 +143,29 @@ class TestDefaultGrid:
 class TestCorrelations:
     def test_dip_time_local(self, response, balanced):
         pkt1, pkt2, grid = balanced
-        npt.assert_allclose(cq.g2(response, pkt1, pkt2, 0.0, grid),
+        npt.assert_allclose(one_delay_g2(response, pkt1, pkt2, 0.0, grid, "time_local"),
                             DIP_TIME_LOCAL, rtol=1e-6)
 
     def test_tail_time_local(self, response, balanced):
         pkt1, pkt2, grid = balanced
-        npt.assert_allclose(cq.g2(response, pkt1, pkt2, 10 * SIGMA, grid),
+        npt.assert_allclose(one_delay_g2(response, pkt1, pkt2, 10 * SIGMA, grid, "time_local"),
                             1.0, rtol=1e-9)
 
     def test_dip_integrated(self, response, balanced):
         pkt1, pkt2, grid = balanced
-        npt.assert_allclose(cq.g2_integrated(response, pkt1, pkt2, 0.0, grid),
+        npt.assert_allclose(one_delay_g2(response, pkt1, pkt2, 0.0, grid, "integrated"),
                             DIP_INTEGRATED, rtol=1e-6)
 
     def test_tail_integrated(self, response, balanced):
         pkt1, pkt2, grid = balanced
-        npt.assert_allclose(cq.g2_integrated(response, pkt1, pkt2, 10 * SIGMA, grid),
+        npt.assert_allclose(one_delay_g2(response, pkt1, pkt2, 10 * SIGMA, grid, "integrated"),
                             TAIL_INTEGRATED, rtol=1e-6)
 
     def test_delay_symmetry(self, response, balanced):
         pkt1, pkt2, grid = balanced
         for tau in (0.7 * SIGMA, 2.0 * SIGMA):
-            plus = cq.g2_integrated(response, pkt1, pkt2, tau, grid)
-            minus = cq.g2_integrated(response, pkt1, pkt2, -tau, grid)
+            plus = one_delay_g2(response, pkt1, pkt2, tau, grid, "integrated")
+            minus = one_delay_g2(response, pkt1, pkt2, -tau, grid, "integrated")
             npt.assert_allclose(plus, minus, rtol=1e-9)
 
     def test_detection_time_invariance(self, response, balanced):
@@ -174,9 +180,9 @@ class TestCorrelations:
         pkt1, pkt2, grid = balanced
         same_port = cq.PhotonWavepacket(pkt2.omega_in, pkt2.sigma, port=1)
         with pytest.raises(ValueError):
-            cq.g2(response, pkt1, same_port, 0.0, grid)
+            cq.hom_curve(response, pkt1, same_port, [0.0], grid, normalization="time_local")
         with pytest.raises(ValueError):
-            cq.g2_integrated(response, pkt2, pkt2, 0.0, grid)
+            cq.hom_curve(response, pkt2, pkt2, [0.0], grid, normalization="integrated")
 
     def test_bounded_on_random_draws(self, response):
         rng = np.random.default_rng(7)
@@ -190,8 +196,8 @@ class TestCorrelations:
             tau = rng.uniform(-2, 2) * SIGMA
             pkt1 = cq.PhotonWavepacket(center1, sigma1, port=1)
             pkt2 = cq.PhotonWavepacket(center2, sigma2, port=2)
-            for value in (cq.g2(response, pkt1, pkt2, tau, grid),
-                          cq.g2_integrated(response, pkt1, pkt2, tau, grid)):
+            for value in (one_delay_g2(response, pkt1, pkt2, tau, grid, "time_local"),
+                          one_delay_g2(response, pkt1, pkt2, tau, grid, "integrated")):
                 assert 0.0 <= value <= 1.0 + 1e-12
 
     @pytest.mark.filterwarnings("ignore::cavqed.errors.GridCoverageWarning")
@@ -226,12 +232,11 @@ class TestCorrelations:
 
 class TestHomCurve:
     def test_curve_shapes_and_time_local(self, response, balanced):
-        # Every delay is bitwise the value of the scalar call, in either
+        # Every delay is bitwise the value of a one-delay curve, in either
         # normalization and in either delay order.
         pkt1, pkt2, grid = balanced
         taus = np.linspace(-2 * SIGMA, 2 * SIGMA, 6)
-        for normalization, scalar in (("time_local", cq.g2),
-                                      ("integrated", cq.g2_integrated)):
+        for normalization in ("time_local", "integrated"):
             for order in (taus, taus[::-1]):
                 curve = cq.hom_curve(response, pkt1, pkt2, order, grid,
                                      normalization=normalization)
@@ -239,7 +244,8 @@ class TestHomCurve:
                 npt.assert_array_equal(curve.taus, order)
                 for tau, value in zip(curve.taus, curve.g2_values):
                     npt.assert_allclose(
-                        value, scalar(response, pkt1, pkt2, tau, grid), rtol=0)
+                        value, one_delay_g2(response, pkt1, pkt2, tau, grid, normalization),
+                        rtol=0)
 
     @pytest.mark.parametrize("sigma2", [SIGMA, 0.6 * SIGMA])
     def test_integrated_curve_matches_gaussian_closed_form(self, response, sigma2):
@@ -427,7 +433,7 @@ class TestUndefinedCorrelation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridCoverageWarning)
             with pytest.raises(UndefinedCorrelationError):
-                cq.g2(resp, pkt1, pkt2, 0.0, grid)
+                _g2_at(resp, pkt1, pkt2, 0.0, grid, "time_local")
 
     def test_curve_marks_missing_points(self):
         case = _exact_zero_flux_case()
