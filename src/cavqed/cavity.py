@@ -76,6 +76,12 @@ class CoaxProbe:
         if self.wall not in PROBE_WALLS:
             raise ValueError(f"wall must be one of {PROBE_WALLS}, got {self.wall!r}")
 
+    def check_footprint(self, geom: CavityGeometry) -> None:
+        """Raise ValueError unless the outer-conductor annulus lies on the wall."""
+        if not (self.r_outer <= self.x0 <= geom.a - self.r_outer
+                and self.r_outer <= self.z0 <= geom.d - self.r_outer):
+            raise ValueError("probe footprint extends outside the cavity wall")
+
 
 @dataclass(frozen=True)
 class ModeIndex:

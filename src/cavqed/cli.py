@@ -183,9 +183,7 @@ def _hom_response(cfg: dict, geom: CavityGeometry) -> tuple[ScatteringResponse, 
     if len(probes) != 2:
         raise ConfigError("hom needs exactly two probes (or an external_modes file)")
     mode = make_mode(parse_mode_label(label), geom)
-    resp = two_port_response(mode, geom, (probes[0], probes[1]),
-                             n_rho=int(get_setting(cfg, "quadrature.n_rho")),
-                             n_phi=int(get_setting(cfg, "quadrature.n_phi")))
+    resp = two_port_response(mode, geom, (probes[0], probes[1]))
     return resp, "internal", label
 
 
@@ -378,7 +376,7 @@ def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str
 def cmd_dispersive(args) -> int:
     cfg, sha = _prepare(args)
     geom = build_geometry(cfg)
-    qubit_cfgs = cfg.get("qubits", [])
+    qubit_cfgs = get_setting(cfg, "qubits")
     if not qubit_cfgs:
         raise ConfigError("dispersive needs at least one entry under 'qubits'")
     labels = [str(lbl) for lbl in get_setting(cfg, "dispersive.cavity_modes")]
@@ -441,7 +439,7 @@ def cmd_ingest_check(args) -> int:
         except ConfigError:
             print(f"warning: mode label {rec.mode_label!r} is not in canonical "
                   "TE/TM form; it can only be matched verbatim", file=sys.stderr)
-    n_qubits = len(cfg.get("qubits", []))
+    n_qubits = len(get_setting(cfg, "qubits"))
     if n_qubits and n_sites < n_qubits:
         raise ExternalModesError(
             f"{path}: records carry {n_sites} qubit site(s) but the "

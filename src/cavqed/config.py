@@ -7,9 +7,12 @@ the configuration exactly as supplied (after overrides, before defaults), so
 two runs with the same hash used the same inputs.
 
 :data:`CONFIG_SCHEMA` is a JSON Schema (draft-07) document and the one
-definition of the configuration.  It is checked by a small walker that
-implements exactly the keywords the schema uses, with draft-07 semantics, plus
-one rule JSON Schema lacks: every ``number`` and ``integer`` must be finite.
+definition of the configuration: each optional key's value when absent is the
+``default`` annotation of its entry, which :func:`get_setting` reads.  It is
+checked by a small walker that implements exactly the keywords the schema
+uses, with draft-07 semantics, plus one rule JSON Schema lacks: every
+``number`` and ``integer`` must be finite.  The walker ignores ``default``, as
+JSON Schema does.
 Files and override values are parsed with PyYAML's libyaml-backed safe loader
 where PyYAML was built with libyaml, and with its pure-Python ``SafeLoader``
 otherwise; both resolve and construct the same objects.
@@ -27,7 +30,6 @@ import yaml
 from .cavity import CavityGeometry, CoaxProbe, ModeIndex
 from .errors import ConfigError
 from .hom import DEFAULT_N_BINS
-from .ports import DEFAULT_N_PHI, DEFAULT_N_RHO
 from .transmon import DipoleSpec
 
 SCHEMA_VERSION = 1
@@ -50,11 +52,12 @@ CONFIG_SCHEMA = {
                 "a_mm": _POSITIVE,
                 "b_mm": _POSITIVE,
                 "d_mm": _POSITIVE,
-                "eps_r": {"type": "number", "minimum": 1.0},
+                "eps_r": {"type": "number", "minimum": 1.0, "default": 1.0},
             },
         },
         "probes": {
             "type": "array",
+            "default": [],
             "items": {
                 "type": "object",
                 "additionalProperties": False,
@@ -65,41 +68,36 @@ CONFIG_SCHEMA = {
                     "r_inner_mm": _POSITIVE,
                     "r_outer_mm": _POSITIVE,
                     "h_mm": {"type": "number", "minimum": 0},
-                    "wall": {"enum": ["bottom", "top"]},
+                    "wall": {"enum": ["bottom", "top"], "default": "bottom"},
                 },
             },
         },
         "modes": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"f_max_GHz": _POSITIVE},
-        },
-        "quadrature": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_rho": {"type": "integer", "minimum": 2},
-                "n_phi": {"type": "integer", "minimum": 4},
-            },
+            "properties": {"f_max_GHz": {**_POSITIVE, "default": 15.0}},
         },
         "hom": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "sigma1_us": _POSITIVE,
-                "sigma2_us": _POSITIVE,
+                "sigma1_us": {**_POSITIVE, "default": 2.5},
+                "sigma2_us": {**_POSITIVE, "default": 2.5},
                 "center": {
                     "oneOf": [{"enum": ["balanced", "scan"]}, {"type": "number"}],
+                    "default": "balanced",
                 },
-                "tau_max_us": _POSITIVE,
-                "n_tau": {"type": "integer", "minimum": 1},
-                "n_bins": {"type": "integer", "minimum": 2},
-                "normalization": {"enum": ["integrated", "time_local"]},
-                "mode": {"type": "string"},
+                "tau_max_us": {**_POSITIVE, "default": 25.0},
+                "n_tau": {"type": "integer", "minimum": 1, "default": 101},
+                "n_bins": {"type": "integer", "minimum": 2, "default": DEFAULT_N_BINS},
+                "normalization": {"enum": ["integrated", "time_local"],
+                                  "default": "integrated"},
+                "mode": {"type": "string", "default": "TE101"},
             },
         },
         "qubits": {
             "type": "array",
+            "default": [],
             "items": {
                 "type": "object",
                 "additionalProperties": False,
@@ -112,7 +110,7 @@ CONFIG_SCHEMA = {
                         "properties": {
                             "length_mm": _POSITIVE,
                             "radius_mm": _POSITIVE,
-                            "gap_mm": {"type": "number", "minimum": 0},
+                            "gap_mm": {"type": "number", "minimum": 0, "default": 0.0},
                             "center_mm": _VEC3,
                             "orientation": _VEC3,
                         },
@@ -131,14 +129,15 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "string"},
                     "minItems": 1,
+                    "default": ["TE101", "TE102"],
                 },
-                "M": {"type": "integer", "minimum": 2},
+                "M": {"type": "integer", "minimum": 2, "default": 6},
                 "chi": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "qubit": {"type": "integer", "minimum": 0},
-                        "cavity": {"type": "integer", "minimum": 0},
+                        "qubit": {"type": "integer", "minimum": 0, "default": 0},
+                        "cavity": {"type": "integer", "minimum": 0, "default": 0},
                     },
                 },
                 "zeta_pair": {
@@ -152,11 +151,12 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["type"],
                     "properties": {
-                        "type": {"enum": ["none", "position_grid", "L_J"]},
-                        "qubit": {"type": "integer", "minimum": 0},
-                        "n_x": {"type": "integer", "minimum": 1},
-                        "n_z": {"type": "integer", "minimum": 1},
-                        "margin_mm": _POSITIVE,
+                        "type": {"enum": ["none", "position_grid", "L_J"],
+                                 "default": "none"},
+                        "qubit": {"type": "integer", "minimum": 0, "default": 0},
+                        "n_x": {"type": "integer", "minimum": 1, "default": 11},
+                        "n_z": {"type": "integer", "minimum": 1, "default": 11},
+                        "margin_mm": {**_POSITIVE, "default": 1.0},
                         "start_nH": _POSITIVE,
                         "stop_nH": _POSITIVE,
                         "n_points": {"type": "integer", "minimum": 1},
@@ -168,35 +168,9 @@ CONFIG_SCHEMA = {
         "output": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"basename": {"type": "string"}},
+            "properties": {"basename": {"type": "string", "default": "cavqed"}},
         },
     },
-}
-
-#: Values used when the corresponding key is absent from the configuration.
-DEFAULTS = {
-    "geometry.eps_r": 1.0,
-    "modes.f_max_GHz": 15.0,
-    "quadrature.n_rho": DEFAULT_N_RHO,
-    "quadrature.n_phi": DEFAULT_N_PHI,
-    "hom.sigma1_us": 2.5,
-    "hom.sigma2_us": 2.5,
-    "hom.center": "balanced",
-    "hom.tau_max_us": 25.0,
-    "hom.n_tau": 101,
-    "hom.n_bins": DEFAULT_N_BINS,
-    "hom.normalization": "integrated",
-    "hom.mode": "TE101",
-    "dispersive.cavity_modes": ["TE101", "TE102"],
-    "dispersive.M": 6,
-    "dispersive.chi.qubit": 0,
-    "dispersive.chi.cavity": 0,
-    "dispersive.sweep.type": "none",
-    "dispersive.sweep.qubit": 0,
-    "dispersive.sweep.n_x": 11,
-    "dispersive.sweep.n_z": 11,
-    "dispersive.sweep.margin_mm": 1.0,
-    "output.basename": "cavqed",
 }
 
 _MODE_LABEL = re.compile(r"^(TE|TM)(?:(\d)(\d)(\d)|_(\d+)_(\d+)_(\d+))$")
@@ -367,16 +341,23 @@ def config_hash(cfg: dict) -> str:
 
 
 def get_setting(cfg: dict, dotted: str):
-    """Fetch a dotted-path entry, falling back to :data:`DEFAULTS`."""
-    node = cfg
+    """Fetch a dotted-path entry; an absent one takes the ``default`` of its
+    :data:`CONFIG_SCHEMA` entry.  An integer path component indexes a list
+    and steps the schema into ``items``."""
+    node, schema = cfg, CONFIG_SCHEMA
     for part in dotted.split("."):
-        if isinstance(node, dict) and part in node:
-            node = node[part]
+        if "items" in schema:
+            schema, key = schema["items"], int(part)
+            found = isinstance(node, list) and -len(node) <= key < len(node)
         else:
-            if dotted in DEFAULTS:
-                return copy.deepcopy(DEFAULTS[dotted])
-            raise ConfigError(f"missing configuration entry {dotted!r}")
-    return node
+            schema, key = schema.get("properties", {}).get(part, {}), part
+            found = isinstance(node, dict) and key in node
+        node = node[key] if found else None
+    if found:
+        return node
+    if "default" not in schema:
+        raise ConfigError(f"missing configuration entry {dotted!r}")
+    return copy.deepcopy(schema["default"])
 
 
 # --- unit conversions (boundary <-> SI) ------------------------------------
@@ -432,22 +413,18 @@ def build_geometry(cfg: dict) -> CavityGeometry:
         a=mm_to_m(geo["a_mm"]),
         b=mm_to_m(geo["b_mm"]),
         d=mm_to_m(geo["d_mm"]),
-        eps_r=float(geo.get("eps_r", DEFAULTS["geometry.eps_r"])),
+        eps_r=float(get_setting(cfg, "geometry.eps_r")),
     )
 
 
 def build_probes(cfg: dict) -> list[CoaxProbe]:
-    probes = []
-    for entry in cfg.get("probes", []):
-        probes.append(CoaxProbe(
-            x0=mm_to_m(entry["x0_mm"]),
-            z0=mm_to_m(entry["z0_mm"]),
-            r_inner=mm_to_m(entry["r_inner_mm"]),
-            r_outer=mm_to_m(entry["r_outer_mm"]),
-            h=mm_to_m(entry["h_mm"]),
-            wall=entry.get("wall", "bottom"),
-        ))
-    return probes
+    return [CoaxProbe(x0=mm_to_m(entry["x0_mm"]),
+                      z0=mm_to_m(entry["z0_mm"]),
+                      r_inner=mm_to_m(entry["r_inner_mm"]),
+                      r_outer=mm_to_m(entry["r_outer_mm"]),
+                      h=mm_to_m(entry["h_mm"]),
+                      wall=get_setting(cfg, f"probes.{i}.wall"))
+            for i, entry in enumerate(get_setting(cfg, "probes"))]
 
 
 def build_dipole(qubit_cfg: dict) -> DipoleSpec:
@@ -455,7 +432,7 @@ def build_dipole(qubit_cfg: dict) -> DipoleSpec:
     return DipoleSpec(
         length=mm_to_m(dip["length_mm"]),
         radius=mm_to_m(dip["radius_mm"]),
-        gap=mm_to_m(dip.get("gap_mm", 0.0)),
+        gap=mm_to_m(get_setting({"qubits": [qubit_cfg]}, "qubits.0.dipole.gap_mm")),
         center=tuple(mm_to_m(c) for c in dip["center_mm"]),
         orientation=tuple(float(c) for c in dip["orientation"]),
     )

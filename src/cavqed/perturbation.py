@@ -46,9 +46,7 @@ def _validate_probes(geom: CavityGeometry, probes: list[CoaxProbe]) -> None:
     for probe in probes:
         if probe.h >= geom.b:
             raise ValueError("probe protrusion h must be smaller than the cavity height b")
-        if not (probe.r_outer <= probe.x0 <= geom.a - probe.r_outer
-                and probe.r_outer <= probe.z0 <= geom.d - probe.r_outer):
-            raise ValueError("probe footprint extends outside the cavity wall")
+        probe.check_footprint(geom)
     for i, p1 in enumerate(probes):
         for p2 in probes[i + 1:]:
             axis_dist = math.hypot(p1.x0 - p2.x0, p1.z0 - p2.z0)

@@ -65,9 +65,7 @@ def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe,
     """
     if n_rho < 2 or n_phi < 4:
         raise ValueError("require n_rho >= 2 and n_phi >= 4")
-    if not (probe.r_outer <= probe.x0 <= geom.a - probe.r_outer
-            and probe.r_outer <= probe.z0 <= geom.d - probe.r_outer):
-        raise ValueError("probe annulus extends outside the cavity cross-section")
+    probe.check_footprint(geom)
 
     rhos = np.linspace(probe.r_inner, probe.r_outer, n_rho)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
@@ -97,15 +95,13 @@ def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe,
 
 
 def two_port_response(mode: CavityMode, geom: CavityGeometry,
-                      probes: tuple[CoaxProbe, CoaxProbe],
-                      n_rho: int = DEFAULT_N_RHO, n_phi: int = DEFAULT_N_PHI,
-                      ) -> ScatteringResponse:
+                      probes: tuple[CoaxProbe, CoaxProbe]) -> ScatteringResponse:
     """Full pipeline for the default experiment: perturbed resonance (tip sampling
     over both probes) plus the two port couplings."""
     p1, p2 = probes
     omega0 = perturbed_frequency_tip(mode, geom, [p1, p2]).omega_perturbed
-    g1 = port_coupling(mode, geom, p1, n_rho, n_phi).g
-    g2 = port_coupling(mode, geom, p2, n_rho, n_phi).g
+    g1 = port_coupling(mode, geom, p1).g
+    g2 = port_coupling(mode, geom, p2).g
     return ScatteringResponse(omega0=omega0, g1=g1, g2=g2)
 
 

@@ -36,7 +36,11 @@ CONVERGENCE_RTOL = 1e-10
 @dataclass(frozen=True)
 class DipoleSpec:
     """Thin-wire dipole antenna: total tip-to-tip length, wire radius, feed
-    gap (all meters), center position (x, y, z) and unit orientation vector."""
+    gap (all meters), center position (x, y, z) and unit orientation vector.
+
+    The gap is validated but enters no formula: :func:`dipole_capacitance`
+    uses the length and radius, and the coupling the length and orientation.
+    """
 
     length: float
     radius: float

@@ -9,7 +9,8 @@ reference assembles the rotating-wave Hamiltonian on the whole truncated
 product space with Kronecker products and diagonalizes it in one piece; it
 shares no fill code with the sector solver it checks.  The textbook
 estimates at the end (harmonic transmon limits, the two-level chi, the
-capacitive divider) are scale and sign references for the exact results;
+capacitive divider) are scale and sign references for the exact results,
+while the Mathieu characteristic values give the exact transmon levels;
 the coupling chain is evaluated there one qubit and one mode at a time.
 The probe perturbation is integrated over each pin's whole volume, against
 the library's tip sampling.
@@ -17,6 +18,7 @@ the library's tip sampling.
 import math
 
 import numpy as np
+from scipy.special import mathieu_a, mathieu_b
 
 from cavqed.cavity import eval_fields
 from cavqed.constants import E_CHARGE, EPS0, HBAR
@@ -200,6 +202,46 @@ def level_asymptotic(params, j):
         raise ValueError("j must be >= 0")
     return (math.sqrt(8.0 * params.E_C * params.E_J) * j
             - 0.5 * params.E_C * (j * j + j)) / HBAR
+
+
+class MathieuValueError(ValueError):
+    """scipy returned a Mathieu characteristic value of the wrong rank."""
+
+
+def _mathieu_count(x, q, odd, size=64):
+    """How many pi-periodic Mathieu characteristic values of one parity lie
+    below ``x``: a Sturm count (negative LDL^T pivots) of the symmetrized
+    Fourier recurrence, diagonal (2k)^2 over k >= 0 for a_2k or k >= 1 for
+    b_2k, off-diagonal q (sqrt(2)*q between A_0 and A_2)."""
+    count, pivot = 0, 1.0
+    for i, k in enumerate(range(1 if odd else 0, size)):
+        coupling = 0.0 if i == 0 else (2.0 if i == 1 and not odd else 1.0) * q * q
+        pivot = (2.0 * k) ** 2 - x - coupling / pivot
+        pivot = pivot or 1e-300
+        count += pivot < 0
+    return count
+
+
+def transmon_levels_mathieu(params, n_levels):
+    """Exact ground-referenced levels (rad/s) of 4*E_C*n^2 - E_J*cos(phi) at
+    n_g = 0 from Mathieu characteristic values (Koch et al., PRA 76, 042319
+    (2007)): E_m = E_C * (a_0, b_2, a_2, b_4, a_4, ...)[m](q), q = -E_J/(2*E_C).
+
+    scipy's ``mathieu_a``/``mathieu_b`` return a neighbouring characteristic
+    value in narrow windows of q (for example b_8 near E_J/E_C = 76.1 and a_6
+    near 50.5, scipy 1.17), so each value's rank within its parity is checked
+    by a Sturm count; :class:`MathieuValueError` reports a wrong one."""
+    q = -params.E_J / (2.0 * params.E_C)
+    values = np.array([mathieu_b(m + 1, q) if m % 2 else mathieu_a(m, q)
+                       for m in range(n_levels)])
+    for m, value in enumerate(values):
+        odd, rank = m % 2 == 1, (m - 1) // 2 if m % 2 else m // 2
+        tol = 1e-6 * max(1.0, abs(value))
+        if (_mathieu_count(value - tol, q, odd),
+                _mathieu_count(value + tol, q, odd)) != (rank, rank + 1):
+            raise MathieuValueError(f"level {m} at q = {q!r}: {value!r} is not "
+                                    f"characteristic value {rank} of its parity")
+    return params.E_C * (values - values[0]) / HBAR
 
 
 def two_level_chi_estimate(g, delta, alpha):

@@ -677,6 +677,13 @@ class TestExitCodes:
                        "--override", "geometry.a_mm"])
         assert rc == 2
 
+    def test_quadrature_block_refused(self, tmp_path, capsys):
+        config = tmp_path / "quadrature.yaml"
+        config.write_text(Path(HOM).read_text() + "quadrature: {n_rho: 32, n_phi: 32}\n")
+        rc = cli.main(["hom", "--config", str(config), "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert "unexpected key(s) ['quadrature']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, override, path", [
         ("modes", "probes.0.h_mm=.nan", "probes/0/h_mm"),
         ("modes", "modes.f_max_GHz=.inf", "modes/f_max_GHz"),

@@ -15,9 +15,40 @@ WALKER_KEYWORDS = {"$schema", "type", "properties", "required", "additionalPrope
                    "items", "minItems", "maxItems", "const", "enum", "minimum",
                    "exclusiveMinimum", "oneOf"}
 
+#: Annotations: keywords that JSON Schema and the walker both ignore.
+ANNOTATIONS = {"default"}
+
 MINIMAL = {
     "schema_version": 1,
     "geometry": {"a_mm": 22.86, "b_mm": 10.16, "d_mm": 40.0},
+}
+
+#: The value each optional key takes when a configuration leaves it out.
+FROZEN_DEFAULTS = {
+    "geometry.eps_r": 1.0,
+    "probes": [],
+    "probes.0.wall": "bottom",
+    "modes.f_max_GHz": 15.0,
+    "hom.sigma1_us": 2.5,
+    "hom.sigma2_us": 2.5,
+    "hom.center": "balanced",
+    "hom.tau_max_us": 25.0,
+    "hom.n_tau": 101,
+    "hom.n_bins": 8192,
+    "hom.normalization": "integrated",
+    "hom.mode": "TE101",
+    "qubits": [],
+    "qubits.0.dipole.gap_mm": 0.0,
+    "dispersive.cavity_modes": ["TE101", "TE102"],
+    "dispersive.M": 6,
+    "dispersive.chi.qubit": 0,
+    "dispersive.chi.cavity": 0,
+    "dispersive.sweep.type": "none",
+    "dispersive.sweep.qubit": 0,
+    "dispersive.sweep.n_x": 11,
+    "dispersive.sweep.n_z": 11,
+    "dispersive.sweep.margin_mm": 1.0,
+    "output.basename": "cavqed",
 }
 
 
@@ -146,7 +177,8 @@ class TestValidation:
     def test_schema_uses_only_walker_keywords(self):
         """A keyword the walker does not implement would be silently ignored."""
         def walk(schema):
-            assert set(schema) <= WALKER_KEYWORDS, set(schema) - WALKER_KEYWORDS
+            known = WALKER_KEYWORDS | ANNOTATIONS
+            assert set(schema) <= known, set(schema) - known
             assert schema.get("type", "object") in config._TYPES
             assert schema.get("additionalProperties", False) is False
             children = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
@@ -247,6 +279,43 @@ class TestHashAndSettings:
         assert config.get_setting(cfg, "dispersive.sweep.type") == "none"
         with pytest.raises(ConfigError):
             config.get_setting(cfg, "geometry.nonexistent")
+        cfg["dispersive"]["sweep"] = {"type": "L_J"}
+        with pytest.raises(ConfigError, match="'dispersive.sweep.start_nH'"):
+            config.get_setting(cfg, "dispersive.sweep.start_nH")
+        with pytest.raises(ConfigError, match="'qubits.0.c_ant_fF'"):
+            config.get_setting(cfg, "qubits.0.c_ant_fF")
+
+    def test_get_setting_indexes_lists(self):
+        cfg = full_config()
+        del cfg["probes"][1]["wall"]
+        assert config.get_setting(cfg, "probes.0.wall") == "bottom"
+        assert config.get_setting(cfg, "probes.1.wall") == "bottom"
+        assert config.get_setting(cfg, "probes.1.h_mm") == 0.75
+        assert config.get_setting(cfg, "qubits.0.dipole.gap_mm") == 0.102
+
+    def test_defaults_copied(self):
+        modes = config.get_setting(MINIMAL, "dispersive.cavity_modes")
+        modes.append("TE103")
+        assert config.get_setting(MINIMAL, "dispersive.cavity_modes") == ["TE101", "TE102"]
+
+    @pytest.mark.parametrize("dotted", FROZEN_DEFAULTS)
+    def test_frozen_defaults(self, dotted):
+        value = config.get_setting(MINIMAL, dotted)
+        assert value == FROZEN_DEFAULTS[dotted] and type(value) is type(FROZEN_DEFAULTS[dotted])
+
+    def test_defaults_satisfy_their_entries(self):
+        """A default that its own entry rejects would reach the builders unchecked."""
+        def defaults(schema, path):
+            if "default" in schema:
+                yield path, schema
+            for key, child in schema.get("properties", {}).items():
+                yield from defaults(child, path + (key,))
+            if "items" in schema:
+                yield from defaults(schema["items"], path + (0,))
+        found = list(defaults(config.CONFIG_SCHEMA, ()))
+        assert len(found) == len(FROZEN_DEFAULTS)
+        for path, schema in found:
+            assert config._first_violation(schema["default"], schema, path) is None, path
 
 
 class TestConverters:
@@ -292,6 +361,7 @@ class TestBuilders:
         geom = config.build_geometry(full_config())
         assert (geom.a, geom.b, geom.d) == (22.86e-3, 10.16e-3, 40e-3)
         assert geom.eps_r == 1.0
+        assert config.build_geometry(MINIMAL).eps_r == 1.0
 
     def test_probes(self):
         probes = config.build_probes(full_config())
@@ -300,6 +370,9 @@ class TestBuilders:
         assert probes[0].h == 0.75e-3
         assert probes[1].wall == "top"
         assert config.build_probes(MINIMAL) == []
+        cfg = full_config()
+        del cfg["probes"][1]["wall"]
+        assert config.build_probes(cfg)[1].wall == "bottom"
 
     def test_dipole(self):
         dipole = config.build_dipole(full_config()["qubits"][0])
@@ -308,3 +381,6 @@ class TestBuilders:
         assert dipole.gap == 0.102e-3
         npt.assert_allclose(dipole.center, (11.43e-3, 5.08e-3, 20e-3), rtol=0)
         npt.assert_allclose(dipole.orientation, (0.0, 1.0, 0.0), rtol=0)
+        qubit = full_config()["qubits"][0]
+        del qubit["dipole"]["gap_mm"]
+        assert config.build_dipole(qubit).gap == 0.0

@@ -134,7 +134,7 @@ class TestDefaultGrid:
     def test_default_bins_clear_shipped_delays(self, response):
         # The library default is the CLI default, and its alias period holds
         # the whole +-10 sigma delay span of the shipped configuration.
-        assert cq.hom.DEFAULT_N_BINS == config.DEFAULTS["hom.n_bins"]
+        assert cq.hom.DEFAULT_N_BINS == config.get_setting({}, "hom.n_bins")
         grid = cq.default_grid(response, SIGMA)
         d_omega = grid.omegas[1] - grid.omegas[0]
         assert 2 * math.pi / d_omega > 2 * 10 * SIGMA

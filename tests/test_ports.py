@@ -58,6 +58,14 @@ class TestPortCoupling:
         with pytest.raises(ValueError):
             cq.port_coupling(te101, geom, probe)
 
+    def test_footprint_rule_shared_with_perturbation(self, geom, te101):
+        probe = cq.CoaxProbe(x0=1e-3, z0=10e-3, r_inner=0.05e-3,
+                             r_outer=2.5e-3, h=0.75e-3)
+        for call in (lambda: cq.port_coupling(te101, geom, probe),
+                     lambda: cq.perturbed_frequency_tip(te101, geom, [probe])):
+            with pytest.raises(ValueError, match="probe footprint extends outside"):
+                call()
+
 
 class TestTwoPortResponse:
     def test_symmetric_feed(self, geom, probes, te101, response):

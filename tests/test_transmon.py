@@ -1,13 +1,16 @@
+import contextlib
 import math
 
 import numpy.testing as npt
 import pytest
+from hypothesis import event, given, reject, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C0, h as PLANCK
 
 import cavqed as cq
 from cavqed.errors import (ConvergenceError, OutOfValidityError,
                            TransmonRegimeWarning)
-from cavqed.transmon import E_CHARGE, HBAR
+from cavqed.transmon import E_CHARGE, HBAR, MIN_RATIO_FOR_TRANSMON_REGIME
 
 import oracles
 from conftest import C_LOAD, L_J
@@ -176,3 +179,33 @@ class TestAsymptotics:
             oracles.level_asymptotic(reference_system["params"], -1)
         with pytest.raises(ValueError):
             oracles.charge_matrix_element_asymptotic(reference_system["params"], -1)
+
+
+class TestMathieuOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ratio=st.floats(5.0, 300.0), n_levels=st.integers(2, 8))
+    def test_levels_match_mathieu(self, ratio, n_levels):
+        """The charge-basis levels are the Mathieu characteristic values to
+        round-off, across the charge and transmon regimes."""
+        e_c = PLANCK * 300e6
+        regime = (pytest.warns(TransmonRegimeWarning)
+                  if ratio < MIN_RATIO_FOR_TRANSMON_REGIME else contextlib.nullcontext())
+        with regime:
+            params = cq.TransmonParams(E_C=e_c, E_J=ratio * e_c)
+        try:
+            expected = oracles.transmon_levels_mathieu(params, n_levels)
+        except oracles.MathieuValueError:
+            event("scipy Mathieu value of the wrong rank: example rejected")
+            reject()
+        levels = cq.transmon_spectrum(params, n_levels=n_levels).levels
+        assert levels[0] == expected[0] == 0.0
+        npt.assert_allclose(levels[1:], expected[1:], rtol=1e-12, atol=0)
+
+    def test_wrong_rank_rejected(self, monkeypatch):
+        # scipy's own failure mode: the neighbouring characteristic value
+        params = cq.TransmonParams(E_C=PLANCK * 300e6, E_J=PLANCK * 30e9)
+        oracles.transmon_levels_mathieu(params, 8)
+        neighbour = oracles.mathieu_a
+        monkeypatch.setattr(oracles, "mathieu_a", lambda m, q: neighbour(m + 2, q))
+        with pytest.raises(oracles.MathieuValueError, match="level 0 "):
+            oracles.transmon_levels_mathieu(params, 8)
