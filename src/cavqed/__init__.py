@@ -24,7 +24,7 @@ from .system import (CouplingMatrix, DispersiveResult, DressedSpectrum,
                      validate_qubit_placement)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,
                        default_charge_cutoff, dipole_capacitance,
-                       transmon_spectrum)
+                       transmon_spectra, transmon_spectrum)
 
 __version__ = "0.1.0"
 

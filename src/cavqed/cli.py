@@ -51,7 +51,7 @@ from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
 from .system import (QubitInstance, SystemBasis, dipole_center_fields,
                      dispersive_params, sector_spectra, transition_couplings,
                      validate_qubit_placement)
-from .transmon import TransmonParams, dipole_capacitance, transmon_spectrum
+from .transmon import TransmonParams, dipole_capacitance, transmon_spectra
 
 
 def _fmt(value: float) -> str:
@@ -304,7 +304,7 @@ def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
     else:
         c_ant = dipole_capacitance(dipole, omega_ref)
     params = TransmonParams.from_circuit(c_ant + c_load, nh_to_henry(float(qubit_cfg["L_J_nH"])))
-    spectrum = transmon_spectrum(params, n_levels=n_levels)
+    (spectrum,) = transmon_spectra([params], n_levels=n_levels)
     qubit = QubitInstance(dipole=dipole, spectrum=spectrum, c_ant=c_ant, c_load=c_load)
     validate_qubit_placement(qubit, geom)
     return qubit
@@ -362,12 +362,17 @@ def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str
         start = float(get_setting(cfg, "dispersive.sweep.start_nH"))
         stop = float(get_setting(cfg, "dispersive.sweep.stop_nH"))
         n_points = int(get_setting(cfg, "dispersive.sweep.n_points"))
-        for l_nh in np.linspace(start, stop, n_points).tolist():
-            # the dipole stays put: only the junction, hence the spectrum, changes
-            params = TransmonParams.from_circuit(base.c_ant + base.c_load, nh_to_henry(l_nh))
-            swept.append((dataclasses.replace(
-                base, spectrum=transmon_spectrum(params, n_levels=m_levels)),
-                {"L_J_nH": l_nh}))
+        l_nhs = np.linspace(start, stop, n_points).tolist()
+        # the dipole stays put: only the junction, hence the spectrum, changes
+        params = [TransmonParams.from_circuit(base.c_ant + base.c_load, nh_to_henry(l_nh))
+                  for l_nh in l_nhs]
+        try:
+            spectra = transmon_spectra(params, n_levels=m_levels)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"sweep point {exc.point} (L_J = "
+                                   f"{l_nhs[exc.point]!r} nH): {exc}") from exc
+        swept = [(dataclasses.replace(base, spectrum=spectrum), {"L_J_nH": l_nh})
+                 for spectrum, l_nh in zip(spectra, l_nhs)]
     else:  # pragma: no cover - schema forbids other values
         raise ConfigError(f"unknown sweep type {sweep_type!r}")
     return [(qubits[:qi] + [qubit] + qubits[qi + 1:], extra) for qubit, extra in swept]

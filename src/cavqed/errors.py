@@ -19,7 +19,12 @@ class OutOfValidityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerically computed quantity failed its built-in convergence check."""
+    """A numerically computed quantity failed its built-in convergence check;
+    ``point`` is the index of the failing point of a stacked call, if any."""
+
+    def __init__(self, message: str, point: int | None = None) -> None:
+        super().__init__(message)
+        self.point = point
 
 
 class ConfigError(ValueError):

@@ -3,8 +3,9 @@ matrix elements.
 
 The qubit is a Josephson junction shunted by the capacitance of a thin-wire
 half-wave dipole antenna (plus a local shunt), with Hamiltonian
-H = 4*E_C*n^2 - E_J*cos(phi) diagonalized exactly in the charge basis.
-Energies are reported as ground-referenced angular frequencies (rad/s).
+H = 4*E_C*n^2 - E_J*cos(phi) diagonalized exactly in the charge basis, split
+by the parity n -> -n into two blocks, with the truncation checked by its
+residual.  Energies are reported as ground-referenced angular frequencies (rad/s).
 
 Input-impedance model for the antenna: an open-circuited thin-wire dipole of
 total length l and wire radius r behaves, below its half-wave resonance, as a
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,8 @@ MIN_RATIO_FOR_TRANSMON_REGIME = 20.0
 #: Extra charge states beyond the asymptotic estimate in the default cutoff.
 DEFAULT_CUTOFF_MARGIN = 8
 
-#: Relative agreement required between cutoffs N and N+4.
+#: Largest relative change of a level or charge element that the truncation
+#: residual may allow.
 CONVERGENCE_RTOL = 1e-10
 
 
@@ -150,44 +153,118 @@ def default_charge_cutoff(params: TransmonParams, n_levels: int) -> int:
     return 4 * math.ceil(spread) + n_levels + DEFAULT_CUTOFF_MARGIN
 
 
-def _solve_charge_basis(params: TransmonParams, n_levels: int, n_charge: int):
-    """Lowest ``n_levels`` eigenpairs of diag(4*E_C*n^2) - (E_J/2) on the
-    off-diagonals, n = -n_charge..n_charge."""
-    n = np.arange(-n_charge, n_charge + 1, dtype=float)
-    off_diagonal = np.full(2 * n_charge, -params.E_J / 2.0)
-    hamiltonian = (np.diag(4.0 * params.E_C * n**2)
-                   + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    elements = np.array([
-        float(np.abs(vectors[:, j] @ (n * vectors[:, j + 1])))
-        for j in range(n_levels - 1)
-    ])
-    return energies[:n_levels], elements
+def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    """Stack of symmetric tridiagonal matrices (P, S, S) from the diagonals
+    (P, S) and the off-diagonal values (P, 1)."""
+    n_points, size = diagonal.shape
+    matrices = np.zeros((n_points, size, size))
+    flat = matrices.reshape(n_points, size * size)
+    flat[:, ::size + 1] = diagonal
+    flat[:, 1::size + 1] = off_diagonal
+    flat[:, size::size + 1] = off_diagonal
+    return matrices
+
+
+def _neighbour_gaps(energies: np.ndarray) -> np.ndarray:
+    """Gap from each eigenvalue of a block (P, S), ascending, to its nearest
+    neighbour in the block; inf for a block of one."""
+    wall = np.full((energies.shape[0], 1), np.inf)
+    padded = np.hstack([-wall, energies, wall])
+    return np.minimum(energies - padded[:, :-2], padded[:, 2:] - energies)
+
+
+def _solve_cutoff_group(e_c: np.ndarray, e_j: np.ndarray, n_levels: int,
+                        cutoff: int):
+    """Lowest ``n_levels`` ground-referenced levels (J), |<j|n|j+1>| and the
+    unconverged-point mask (P,) of P transmons that share one charge cutoff
+    N; ``e_c`` and ``e_j`` have shape (P, 1).
+
+    At n_g = 0 the Hamiltonian commutes with n -> -n, so it splits into an
+    even block over |0>, (|n>+|-n>)/sqrt(2) and an odd block over
+    (|n>-|-n>)/sqrt(2), n = 1..N, each solved for all P points by one
+    ``eigh`` call.  Odd vectors are padded with a zero n = 0 component, so
+    <even|n|odd> = sum_n e_n*n*o_n over the common components n = 0..N.
+    """
+    n = np.arange(cutoff + 1, dtype=float)
+    even = _tridiagonal(4.0 * e_c * n**2, -e_j / 2.0)
+    even[:, 0, 1] = even[:, 1, 0] = -e_j[:, 0] / math.sqrt(2.0)
+    even_energies, even_vectors = np.linalg.eigh(even)
+    odd_energies, odd_vectors = np.linalg.eigh(
+        _tridiagonal(4.0 * e_c * n[1:]**2, -e_j / 2.0))
+    n_points = e_c.shape[0]
+    # eigenvectors as rows over n = 0..N: the N+1 even states, then the N odd
+    states = np.zeros((n_points, 2 * cutoff + 1, cutoff + 1))
+    states[:, :cutoff + 1] = even_vectors.swapaxes(1, 2)
+    states[:, cutoff + 1:, 1:] = odd_vectors.swapaxes(1, 2)
+    energies = np.hstack([even_energies, odd_energies])
+    gaps = np.hstack([_neighbour_gaps(even_energies), _neighbour_gaps(odd_energies)])
+    odd = np.arange(2 * cutoff + 1) > cutoff
+
+    order = np.argsort(energies, axis=1, kind="stable")[:, :n_levels]
+    rows = np.arange(n_points)[:, None]
+    energies, states = energies[rows, order], states[rows, order]
+    gaps, odd = gaps[rows, order], odd[order]
+    levels = energies - energies[:, :1]
+    elements = np.abs(np.sum(states[:, :-1] * n * states[:, 1:], axis=2))
+    elements[odd[:, :-1] == odd[:, 1:]] = 0.0
+
+    # Truncation leaves the eigenpair of parity-block vector v the residual
+    # (E_J/2)*|v_N| against the untruncated operator.  It bounds the error of
+    # each level; over the gap to the nearest level of its block, it bounds
+    # the angle of its eigenvector, which moves a charge element by at most
+    # N + 1 (the largest |n| the residual reaches) times the two angles.
+    residuals = e_j / 2.0 * np.abs(states[:, :, cutoff])
+    scale = np.maximum(levels[:, -1], e_j[:, 0])
+    angles = np.divide(residuals, gaps - residuals, out=np.full_like(residuals, np.inf),
+                       where=gaps > residuals)
+    level_error = (residuals + residuals[:, :1]).max(axis=1)
+    element_error = (cutoff + 1) * (angles[:, :-1] + angles[:, 1:]).max(axis=1)
+    unconverged = ((level_error > CONVERGENCE_RTOL * scale)
+                   | (element_error
+                      > CONVERGENCE_RTOL * np.maximum(1.0, elements.max(axis=1))))
+    return levels, elements, unconverged
+
+
+def transmon_spectra(params: Sequence[TransmonParams], n_levels: int = 4,
+                     n_charge: int | None = None) -> list[TransmonSpectrum]:
+    """Exact charge-basis spectra of many transmons, one parity-split solve
+    per distinct cutoff (:func:`default_charge_cutoff` of each point unless
+    ``n_charge`` is given); a point's spectrum is bitwise that of its own
+    one-point call.
+
+    Raises :class:`ConvergenceError`, with the lowest failing index as
+    ``point``, when the truncation residual could move a ground-referenced
+    level or a charge element by more than a relative ``CONVERGENCE_RTOL``.
+    """
+    if n_levels < 2:
+        raise ValueError("n_levels must be >= 2")
+    if n_charge is not None and 2 * n_charge + 1 < n_levels:
+        raise ValueError("charge cutoff too small for requested level count")
+    cutoffs = [default_charge_cutoff(p, n_levels) if n_charge is None else n_charge
+               for p in params]
+    spectra: list = [None] * len(cutoffs)
+    failed = []
+    for cutoff in sorted(set(cutoffs)):
+        points = [p for p, c in enumerate(cutoffs) if c == cutoff]
+        e_c = np.array([[params[p].E_C] for p in points])
+        e_j = np.array([[params[p].E_J] for p in points])
+        levels, elements, unconverged = _solve_cutoff_group(e_c, e_j, n_levels, cutoff)
+        failed += [points[i] for i in np.flatnonzero(unconverged)]
+        for p, point_levels, point_elements in zip(points, (levels / HBAR).tolist(),
+                                                   elements.tolist()):
+            spectra[p] = TransmonSpectrum(
+                params=params[p], levels=tuple(point_levels),
+                charge_elements=tuple(-1j * el for el in point_elements))
+    if failed:
+        point = min(failed)
+        raise ConvergenceError(
+            f"charge-basis results not converged at cutoff {cutoffs[point]} "
+            f"(E_J/E_C = {params[point].E_J / params[point].E_C:.6g}); "
+            "increase n_charge", point=point)
+    return spectra
 
 
 def transmon_spectrum(params: TransmonParams, n_levels: int = 4,
                       n_charge: int | None = None) -> TransmonSpectrum:
-    """Exact charge-basis diagonalization, cross-checked at cutoff N+4.
-
-    Raises :class:`ConvergenceError` when ground-referenced levels or charge
-    elements move by more than a relative 1e-10 between the two cutoffs.
-    """
-    if n_levels < 2:
-        raise ValueError("n_levels must be >= 2")
-    cutoff = default_charge_cutoff(params, n_levels) if n_charge is None else n_charge
-    if 2 * cutoff + 1 < n_levels:
-        raise ValueError("charge cutoff too small for requested level count")
-    energies, elements = _solve_charge_basis(params, n_levels, cutoff)
-    energies_ref, elements_ref = _solve_charge_basis(params, n_levels, cutoff + 4)
-    levels = energies - energies[0]
-    levels_ref = energies_ref - energies_ref[0]
-    scale = max(float(levels[-1]), params.E_J)
-    if (np.max(np.abs(levels - levels_ref)) > CONVERGENCE_RTOL * scale
-            or np.max(np.abs(elements - elements_ref)) > CONVERGENCE_RTOL
-            * max(1.0, float(np.max(np.abs(elements))))):
-        raise ConvergenceError(
-            f"charge-basis results not converged at cutoff {cutoff}; increase n_charge")
-    return TransmonSpectrum(
-        params=params,
-        levels=tuple(float(e) / HBAR for e in levels),
-        charge_elements=tuple(-1j * float(el) for el in elements))
+    """One-point call of :func:`transmon_spectra`."""
+    return transmon_spectra([params], n_levels, n_charge)[0]

@@ -12,9 +12,13 @@ estimates at the end (harmonic transmon limits, the two-level chi, the
 capacitive divider) are scale and sign references for the exact results,
 while the Mathieu characteristic values give the exact transmon levels;
 the coupling chain is evaluated there one qubit and one mode at a time.
+The dense, unsplit charge-basis transmon solve, with its N vs N + 4 check and
+the truncation-residual bound evaluated from its eigenpairs, is the reference
+for the library's parity-split solve.
 The probe perturbation is integrated over each pin's whole volume, against
 the library's tip sampling.
 """
+import functools
 import math
 
 import numpy as np
@@ -22,10 +26,12 @@ from scipy.special import mathieu_a, mathieu_b
 
 from cavqed.cavity import eval_fields
 from cavqed.constants import E_CHARGE, EPS0, HBAR
+from cavqed.errors import ConvergenceError
 from cavqed.hom import spectral_weights
 from cavqed.perturbation import _result, _validate_probes
 from cavqed.ports import transfer_functions
 from cavqed.system import DressedSpectrum, _greedy_assign
+from cavqed.transmon import CONVERGENCE_RTOL, default_charge_cutoff
 
 #: Default (n_rho, n_phi, n_axial) midpoint resolution of
 #: :func:`perturbed_frequency_quadrature`.
@@ -242,6 +248,66 @@ def transmon_levels_mathieu(params, n_levels):
             raise MathieuValueError(f"level {m} at q = {q!r}: {value!r} is not "
                                     f"characteristic value {rank} of its parity")
     return params.E_C * (values - values[0]) / HBAR
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_charge_eigh(params, n_charge):
+    """Every eigenpair of the dense (2N+1)-square charge-basis matrix
+    diag(4*E_C*n^2) - (E_J/2) on the off-diagonals, n = -N..N (cached: a
+    cutoff scan solves each cutoff as N and again as the N + 4 of N - 4)."""
+    n = np.arange(-n_charge, n_charge + 1, dtype=float)
+    off_diagonal = np.full(2 * n_charge, -params.E_J / 2.0)
+    hamiltonian = (np.diag(4.0 * params.E_C * n**2)
+                   + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return n, energies, vectors
+
+
+def charge_basis_solve(params, n_levels, n_charge):
+    """Lowest ``n_levels`` ground-referenced levels (J) and |<j|n|j+1>| of the
+    dense charge-basis matrix at cutoff N, with no parity split."""
+    n, energies, vectors = _dense_charge_eigh(params, n_charge)
+    elements = np.array([float(np.abs(vectors[:, j] @ (n * vectors[:, j + 1])))
+                         for j in range(n_levels - 1)])
+    return energies[:n_levels] - energies[0], elements
+
+
+def transmon_spectrum_dense(params, n_levels, n_charge=None):
+    """Levels (J) and |<j|n|j+1>| of :func:`charge_basis_solve` at the cutoff N,
+    cross-checked at N + 4: :class:`ConvergenceError` when a ground-referenced
+    level or a charge element moves by more than ``CONVERGENCE_RTOL`` relative
+    between the two cutoffs."""
+    cutoff = default_charge_cutoff(params, n_levels) if n_charge is None else n_charge
+    levels, elements = charge_basis_solve(params, n_levels, cutoff)
+    levels_ref, elements_ref = charge_basis_solve(params, n_levels, cutoff + 4)
+    scale = max(float(levels[-1]), params.E_J)
+    if (np.max(np.abs(levels - levels_ref)) > CONVERGENCE_RTOL * scale
+            or np.max(np.abs(elements - elements_ref)) > CONVERGENCE_RTOL
+            * max(1.0, float(np.max(np.abs(elements))))):
+        raise ConvergenceError(
+            f"charge-basis results not converged at cutoff {cutoff}; increase n_charge")
+    return levels, elements
+
+
+def residual_bound_exceeded(params, n_levels, n_charge):
+    """Whether the truncation-residual bound of ``cavqed.transmon`` rejects the
+    cutoff N, evaluated from the dense, unsplit eigenpairs: eigenvector k
+    leaves the residual (E_J/2)*sqrt(v_N^2 + v_-N^2) against the untruncated
+    operator, its parity is the sign of sum_n v_n*v_-n, and its gap is the
+    distance to the nearest eigenvalue of the same parity."""
+    _, energies, vectors = _dense_charge_eigh(params, n_charge)
+    residuals = params.E_J / 2.0 * np.hypot(vectors[0, :n_levels], vectors[-1, :n_levels])
+    even = np.sum(vectors * vectors[::-1], axis=0) > 0.0
+    distance = np.abs(energies[:n_levels, None] - energies)
+    distance[(even[:n_levels, None] != even)
+             | np.eye(n_levels, energies.size, dtype=bool)] = np.inf
+    gaps = distance.min(axis=1)
+    levels, elements = charge_basis_solve(params, n_levels, n_charge)
+    angles = [r / (gap - r) if gap > r else math.inf for r, gap in zip(residuals, gaps)]
+    level_error = max(r + residuals[0] for r in residuals)
+    element_error = (n_charge + 1) * max(a + b for a, b in zip(angles, angles[1:]))
+    return bool(level_error > CONVERGENCE_RTOL * max(float(levels[-1]), params.E_J)
+                or element_error > CONVERGENCE_RTOL * max(1.0, float(np.max(elements))))
 
 
 def two_level_chi_estimate(g, delta, alpha):

@@ -723,11 +723,32 @@ class TestExitCodes:
         def broken(params, n_levels=4, n_charge=None):
             raise ConvergenceError("charge basis did not converge")
 
-        monkeypatch.setattr(cli, "transmon_spectrum", broken)
+        monkeypatch.setattr(cli, "transmon_spectra", broken)
         rc = cli.main(["dispersive", "--config", TABLE1,
                        "--out", str(tmp_path / "d.json")])
         assert rc == 4
         assert "error (numerical)" in capsys.readouterr().err
+
+    def test_convergence_error_names_sweep_point(self, tmp_path, capsys, monkeypatch):
+        # a cutoff far too small for the stiffest junctions only: sweep point 1
+        # (2.5 nH) is the first below the 2.75 nH threshold, and both fixed
+        # qubits (3.095 and 3.374 nH) keep their default cutoff
+        default_cutoff = cq.transmon.default_charge_cutoff
+        e_j_threshold = cq.TransmonParams.from_circuit(1e-13, 2.75e-9).E_J
+
+        def cutoff(params, n_levels):
+            return 3 if params.E_J > e_j_threshold else default_cutoff(params, n_levels)
+
+        monkeypatch.setattr(cq.transmon, "default_charge_cutoff", cutoff)
+        rc = cli.main(["dispersive", "--config", ZZ_SWEEP,
+                       "--out", str(tmp_path / "d.json"),
+                       "--override", "dispersive.sweep.start_nH=3.0",
+                       "--override", "dispersive.sweep.stop_nH=2.0",
+                       "--override", "dispersive.sweep.n_points=3"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error (numerical): sweep point 1 (L_J = 2.5 nH)" in err
+        assert "not converged at cutoff 3 " in err
 
 
 def test_import_leaves_scipy_unloaded():
@@ -741,3 +762,18 @@ def test_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True, env=env)
     assert result.stdout.strip() == "[]"
+
+
+def test_output_independent_of_blas_threads(tmp_path):
+    """A sweep's JSON is the same bytes with one and with two OpenBLAS threads."""
+    package_parent = str(Path(cq.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"zz_{threads}.json"
+        env = {**os.environ, "PYTHONPATH": package_parent,
+               "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "cavqed.cli", "dispersive",
+                        "--config", ZZ_SWEEP, "--out", str(out)],
+                       capture_output=True, check=True, env=env)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -397,8 +397,9 @@ class TestSectorSpectrum:
                             rtol=1e-10)
         npt.assert_allclose(result.chi / (TWO_PI * 1e6), CHI_MHZ, rtol=1e-9)
         assert result.flags == ()
+        # two eigensolvers: the overlaps agree to round-off, not bitwise
         sector = cq.dispersive_params(dressed_reference[1])
-        assert sector.min_label_overlap == result.min_label_overlap
+        assert abs(sector.min_label_overlap - result.min_label_overlap) <= 1e-14
 
     @pytest.mark.parametrize("n_qubits, n_cavities, n_levels, size", [
         (1, 2, 6, 10), (2, 3, 3, 21), (1, 2, 15, 10), (1, 1, 2, 4), (2, 2, 2, 11),

@@ -1,6 +1,8 @@
 import contextlib
 import math
+import warnings
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import event, given, reject, settings
@@ -209,3 +211,62 @@ class TestMathieuOracle:
         monkeypatch.setattr(oracles, "mathieu_a", lambda m, q: neighbour(m + 2, q))
         with pytest.raises(oracles.MathieuValueError, match="level 0 "):
             oracles.transmon_levels_mathieu(params, 8)
+
+
+def _params(ratio):
+    """Transmon at E_C/h = 300 MHz and the given E_J/E_C, regime warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransmonRegimeWarning)
+        return cq.TransmonParams(E_C=PLANCK * 300e6, E_J=ratio * PLANCK * 300e6)
+
+
+class TestParitySplitSolve:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ratio=st.floats(5.0, 300.0), n_levels=st.integers(2, 8))
+    def test_matches_dense_oracle(self, ratio, n_levels):
+        """Levels and |elements| are those of the dense, unsplit charge-basis
+        solve at the same cutoff and at cutoff 60.  The split sets the
+        element of two levels of the same parity to exactly 0, so nonzero
+        elements throughout mean the merged levels alternate even/odd."""
+        params = _params(ratio)
+        spectrum = cq.transmon_spectrum(params, n_levels=n_levels)
+        levels = np.array(spectrum.levels) * HBAR
+        elements = np.abs(spectrum.charge_elements)
+        assert np.all(elements > 0.0)
+        for cutoff in (cq.default_charge_cutoff(params, n_levels), 60):
+            dense_levels, dense_elements = oracles.charge_basis_solve(
+                params, n_levels, cutoff)
+            npt.assert_allclose(levels[1:], dense_levels[1:], rtol=1e-12, atol=0)
+            npt.assert_allclose(elements, dense_elements, rtol=1e-12, atol=0)
+
+    def test_stack_equals_points_alone(self):
+        """A 51-point call over several cutoffs, in shuffled order, gives each
+        point bitwise the spectrum of its own one-point call."""
+        ratios = np.random.default_rng(21).permutation(np.geomspace(20.0, 300.0, 51))
+        params = [_params(ratio) for ratio in ratios]
+        assert len({cq.default_charge_cutoff(p, 5) for p in params}) > 1
+        assert cq.transmon_spectra(params, n_levels=5) == [
+            cq.transmon_spectrum(p, n_levels=5) for p in params]
+
+    def test_residual_check_never_looser(self):
+        """Over E_J/E_C in [5, 300], 2..8 levels and every cutoff from the
+        smallest allowed to the default, the check raises exactly where the
+        same bound, evaluated from the dense, unsplit eigenpairs (residual,
+        parity and gap per eigenvector), rejects the cutoff.  Wherever it
+        accepts a cutoff, so does the dense N vs N + 4 check of the oracle
+        (so it raises wherever that check raises), and neither raises at
+        the default."""
+        for ratio in np.geomspace(5.0, 300.0, 20):
+            params = _params(ratio)
+            for n_levels in range(2, 9):
+                default = cq.default_charge_cutoff(params, n_levels)
+                for cutoff in range(n_levels // 2, default + 1):
+                    case = (ratio, n_levels, cutoff)
+                    try:
+                        cq.transmon_spectrum(params, n_levels, cutoff)
+                    except ConvergenceError:
+                        assert cutoff < default, case
+                        assert oracles.residual_bound_exceeded(params, n_levels, cutoff), case
+                        continue
+                    assert not oracles.residual_bound_exceeded(params, n_levels, cutoff), case
+                    oracles.transmon_spectrum_dense(params, n_levels, cutoff)
