@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -48,9 +47,9 @@ from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
 from .output import open_output
 from .perturbation import perturbed_frequency_tip
 from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
-from .system import (QubitInstance, SystemBasis, dipole_center_fields,
-                     dispersive_params, sector_spectra, transition_couplings,
-                     validate_qubit_placement)
+from .system import (DispersiveColumns, SystemBasis, dipole_center_fields,
+                     dispersive_columns, first_misplaced_dipole, sector_spectra,
+                     transition_couplings)
 from .transmon import TransmonParams, dipole_capacitance, transmon_spectra
 
 
@@ -118,9 +117,9 @@ def _write_csv(path: Path, sha: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)  # one write, not one per token
     with open_output(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _external_modes_hash(cfg: dict) -> dict:
@@ -257,11 +256,12 @@ def cmd_hom(args) -> int:
 # --- dispersive ----------------------------------------------------------------
 
 def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits: int):
-    """(omega_k per requested mode, field table, mode source), where the
-    table maps the qubit lists of a sweep's points to the E vectors
-    [point, mode, qubit, xyz] at their dipole centers.  Analytic fields come
-    from one :func:`dipole_center_fields` call per mode over the sweep's
-    distinct dipoles, so each (dipole, mode) field is evaluated once."""
+    """(omega_k per requested mode, field function, mode source), where the
+    function maps a sweep's dipoles [point, qubit, 7] (center, unit axis and
+    length, as :func:`cmd_dispersive` lays them out) to the E vectors
+    [point, mode, qubit, xyz] at their centers.  Analytic fields come from
+    one :func:`dipole_center_fields` call per mode over the sweep's distinct
+    dipoles, so each (dipole, mode) field is evaluated once."""
     if "external_modes" in cfg:
         by_label = _external_records(cfg, labels)
         unused = sorted(set(by_label) - set(labels))
@@ -276,106 +276,85 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
                     f"{rec.n_sites} qubit site(s); configuration has {n_qubits}")
         fixed = np.array([rec.e_fields[:n_qubits] for rec in chosen])
         return ([ghz_to_rad_per_s(rec.f_GHz) for rec in chosen],
-                lambda point_qubits: np.broadcast_to(fixed, (len(point_qubits),
-                                                             *fixed.shape)),
+                lambda dipoles: np.broadcast_to(fixed, (len(dipoles), *fixed.shape)),
                 "external")
     probes = build_probes(cfg)
     modes = [make_mode(parse_mode_label(lbl), geom) for lbl in labels]
     omegas = [perturbed_frequency_tip(mode, geom, probes).omega_perturbed
               if probes else mode.omega for mode in modes]
 
-    def fields_at(point_qubits: list[list[QubitInstance]]) -> np.ndarray:
-        dipoles = list(dict.fromkeys(q.dipole for qubits in point_qubits for q in qubits))
-        at = np.stack([dipole_center_fields(dipoles, mode, geom) for mode in modes],
+    def fields_at(dipoles: np.ndarray) -> np.ndarray:
+        number: dict = {}  # distinct dipole -> its index, in order of appearance
+        which = [number.setdefault(row, len(number))
+                 for row in map(tuple, dipoles.reshape(-1, 7).tolist())]
+        distinct = np.array(list(number))
+        at = np.stack([dipole_center_fields(distinct[:, :3], distinct[:, 3:6], distinct[:, 6],
+                                            mode, geom) for mode in modes],
                       axis=1)  # [dipole, mode, xyz]
-        index = {dipole: i for i, dipole in enumerate(dipoles)}
-        return at[[[index[q.dipole] for q in qubits] for qubits in point_qubits]
-                  ].swapaxes(1, 2)
+        return at[np.reshape(which, dipoles.shape[:2])].swapaxes(1, 2)
 
     return omegas, fields_at, "internal"
 
 
-def _build_qubit(qubit_cfg: dict, geom: CavityGeometry, omega_ref: float,
-                 n_levels: int) -> QubitInstance:
-    dipole = build_dipole(qubit_cfg)
-    c_load = ff_to_farad(float(qubit_cfg["C_L_fF"]))
-    if "c_ant_fF" in qubit_cfg:
-        c_ant = ff_to_farad(float(qubit_cfg["c_ant_fF"]))
-    else:
-        c_ant = dipole_capacitance(dipole, omega_ref)
-    params = TransmonParams.from_circuit(c_ant + c_load, nh_to_henry(float(qubit_cfg["L_J_nH"])))
-    (spectrum,) = transmon_spectra([params], n_levels=n_levels)
-    qubit = QubitInstance(dipole=dipole, spectrum=spectrum, c_ant=c_ant, c_load=c_load)
-    validate_qubit_placement(qubit, geom)
-    return qubit
+def _mm(point) -> str:
+    return "(" + ", ".join(f"{c / 1e-3:.6g}" for c in point) + ") mm"
 
 
-def _evaluate_sweep(point_inputs, omegas, fields_at, basis, chi_qubit, chi_cavity,
-                    zeta_pair):
-    """Output entry of every sweep point, in order, from one stacked sector
-    solve: each point's transmon levels fill a [point, qubit, level] array,
-    and one :func:`transition_couplings` call gives the couplings
-    [point, mode, qubit, transition]."""
-    m = basis.n_levels
-    point_qubits = [qubits for qubits, _ in point_inputs]
-    levels = np.array([[q.spectrum.levels[:m] for q in qubits] for qubits in point_qubits])
-    couplings = transition_couplings(point_qubits, fields_at(point_qubits), omegas, m)
-    spectra = sector_spectra(levels, omegas, couplings, basis)
-    for (_, extra), dressed in zip(point_inputs, spectra):
-        res = dispersive_params(dressed, qubit=chi_qubit, cavity=chi_cavity,
-                                qubit_pair=zeta_pair)
-        yield {
-            "omega01_GHz": rad_per_s_to_ghz(res.omega01),
-            "alpha_MHz": (rad_per_s_to_mhz(res.alpha) if res.alpha is not None else None),
-            "omega_k_GHz": rad_per_s_to_ghz(res.omega_cavity),
-            "chi_MHz": rad_per_s_to_mhz(res.chi),
-            "zeta_MHz": (rad_per_s_to_mhz(res.zeta) if res.zeta is not None else None),
-            "flags": [list(lbl) for lbl in res.flags],
-            "min_label_overlap": res.min_label_overlap,
-            **extra,
-        }
-
-
-def _sweep_points(cfg: dict, geom: CavityGeometry, qubits: list, sweep_type: str,
-                  m_levels: int) -> list[tuple[list, dict]]:
-    """Inputs of every sweep point: its qubit list and its extra output keys."""
+def _sweep_points(cfg: dict, geom: CavityGeometry, dipoles: np.ndarray,
+                  sweep_type: str):
+    """``(qubit, centers, l_nh, extra)`` of a sweep over P points: the swept
+    qubit, its dipole centers (P, 3) in m or its junction inductances (P
+    floats, nH), whichever moves (the other is None), and the extra output
+    keys as columns of P values.  A run without a sweep is one point where
+    nothing moves.  ConfigError names the first grid point that puts a
+    dipole tip outside the cavity."""
     if sweep_type == "none":
-        return [(qubits, {})]
+        return 0, None, None, {}
     qi = int(get_setting(cfg, "dispersive.sweep.qubit"))
-    if not 0 <= qi < len(qubits):
+    if not 0 <= qi < len(dipoles):
         raise ConfigError(f"sweep qubit index {qi} out of range")
-    base = qubits[qi]
-    swept = []  # (replacement for qubit qi, extra output keys)
     if sweep_type == "position_grid":
         n_x = int(get_setting(cfg, "dispersive.sweep.n_x"))
         n_z = int(get_setting(cfg, "dispersive.sweep.n_z"))
         margin = mm_to_m(float(get_setting(cfg, "dispersive.sweep.margin_mm")))
         if not 0 < margin < min(geom.a, geom.d) / 2:
             raise ConfigError("sweep margin must lie inside the quarter cavity")
-        for x in np.linspace(margin, geom.a / 2.0, n_x).tolist():
-            for z in np.linspace(margin, geom.d / 2.0, n_z).tolist():
-                moved = dataclasses.replace(
-                    base, dipole=dataclasses.replace(base.dipole, center=(x, geom.b / 2.0, z)))
-                validate_qubit_placement(moved, geom)
-                swept.append((moved, {"x_mm": x / 1e-3, "z_mm": z / 1e-3}))
-    elif sweep_type == "L_J":
+        x = np.repeat(np.linspace(margin, geom.a / 2.0, n_x), n_z)
+        z = np.tile(np.linspace(margin, geom.d / 2.0, n_z), n_x)
+        centers = np.stack([x, np.full_like(x, geom.b / 2.0), z], axis=1)
+        misplaced = first_misplaced_dipole(centers, dipoles[qi, 3:6], dipoles[qi, 6], geom)
+        if misplaced is not None:
+            (p,), tip = misplaced
+            raise ConfigError(
+                f"sweep point {p} (x = {x[p] / 1e-3:.6g} mm, z = {z[p] / 1e-3:.6g} mm): "
+                f"qubit {qi} dipole tip {_mm(tip)} lies outside the cavity")
+        return qi, centers, None, {"x_mm": (x / 1e-3).tolist(), "z_mm": (z / 1e-3).tolist()}
+    if sweep_type == "L_J":
         start = float(get_setting(cfg, "dispersive.sweep.start_nH"))
         stop = float(get_setting(cfg, "dispersive.sweep.stop_nH"))
         n_points = int(get_setting(cfg, "dispersive.sweep.n_points"))
-        l_nhs = np.linspace(start, stop, n_points).tolist()
         # the dipole stays put: only the junction, hence the spectrum, changes
-        params = [TransmonParams.from_circuit(base.c_ant + base.c_load, nh_to_henry(l_nh))
-                  for l_nh in l_nhs]
-        try:
-            spectra = transmon_spectra(params, n_levels=m_levels)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"sweep point {exc.point} (L_J = "
-                                   f"{l_nhs[exc.point]!r} nH): {exc}") from exc
-        swept = [(dataclasses.replace(base, spectrum=spectrum), {"L_J_nH": l_nh})
-                 for spectrum, l_nh in zip(spectra, l_nhs)]
-    else:  # pragma: no cover - schema forbids other values
-        raise ConfigError(f"unknown sweep type {sweep_type!r}")
-    return [(qubits[:qi] + [qubit] + qubits[qi + 1:], extra) for qubit, extra in swept]
+        l_nhs = np.linspace(start, stop, n_points).tolist()
+        return qi, None, l_nhs, {"L_J_nH": l_nhs}
+    raise ConfigError(f"unknown sweep type {sweep_type!r}")  # pragma: no cover - schema
+
+
+def _point_entries(res: DispersiveColumns, extra: dict) -> list[dict]:
+    """Output entry of every sweep point, in order, from the read-out columns
+    and the sweep's extra output columns."""
+    none = [None] * len(res.chi)
+    columns = {
+        "omega01_GHz": rad_per_s_to_ghz(res.omega01).tolist(),
+        "alpha_MHz": none if res.alpha is None else rad_per_s_to_mhz(res.alpha).tolist(),
+        "omega_k_GHz": rad_per_s_to_ghz(res.omega_cavity).tolist(),
+        "chi_MHz": rad_per_s_to_mhz(res.chi).tolist(),
+        "zeta_MHz": none if res.zeta is None else rad_per_s_to_mhz(res.zeta).tolist(),
+        "flags": [[list(lbl) for lbl, flagged in zip(res.labels, row) if flagged]
+                  if any(row) else [] for row in res.flagged.tolist()],
+        "min_label_overlap": res.min_label_overlap.tolist(),
+        **extra,
+    }
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def cmd_dispersive(args) -> int:
@@ -384,27 +363,69 @@ def cmd_dispersive(args) -> int:
     qubit_cfgs = get_setting(cfg, "qubits")
     if not qubit_cfgs:
         raise ConfigError("dispersive needs at least one entry under 'qubits'")
+    n_q = len(qubit_cfgs)
     labels = [str(lbl) for lbl in get_setting(cfg, "dispersive.cavity_modes")]
     m_levels = int(get_setting(cfg, "dispersive.M"))
     chi_qubit = int(get_setting(cfg, "dispersive.chi.qubit"))
     chi_cavity = int(get_setting(cfg, "dispersive.chi.cavity"))
     zeta_pair = cfg.get("dispersive", {}).get("zeta_pair")
-    if zeta_pair is None and len(qubit_cfgs) >= 2:
+    if zeta_pair is None and n_q >= 2:
         zeta_pair = [0, 1]
     if zeta_pair is not None:
         zeta_pair = (int(zeta_pair[0]), int(zeta_pair[1]))
-    omegas, fields_at, mode_source = _cavity_inputs(cfg, geom, labels, len(qubit_cfgs))
-    omega_ref = min(omegas)
-    qubits = [_build_qubit(qc, geom, omega_ref, m_levels) for qc in qubit_cfgs]
+    omegas, fields_at, mode_source = _cavity_inputs(cfg, geom, labels, n_q)
+
+    # the configured qubits: divider capacitances (F), L_J (nH), and each
+    # dipole as a row of its center (m), unit axis and length (m)
+    specs = [build_dipole(qc) for qc in qubit_cfgs]
+    c_load = [ff_to_farad(float(qc["C_L_fF"])) for qc in qubit_cfgs]
+    c_ant = [ff_to_farad(float(qc["c_ant_fF"])) if "c_ant_fF" in qc
+             else dipole_capacitance(spec, min(omegas))
+             for qc, spec in zip(qubit_cfgs, specs)]
+    l_nh = [float(qc["L_J_nH"]) for qc in qubit_cfgs]
+    dipoles = np.array([(*spec.center, *spec.orientation, spec.length) for spec in specs])
+    misplaced = first_misplaced_dipole(dipoles[:, :3], dipoles[:, 3:6], dipoles[:, 6], geom)
+    if misplaced is not None:
+        (q,), tip = misplaced
+        raise ConfigError(f"qubit {q} dipole tip {_mm(tip)} lies outside the cavity")
 
     sweep_type = str(get_setting(cfg, "dispersive.sweep.type"))
     if sweep_type == "position_grid" and mode_source == "external":
         raise ConfigError("position_grid sweeps need analytic modes "
                           "(external fields are fixed per site)")
-    point_inputs = _sweep_points(cfg, geom, qubits, sweep_type, m_levels)
-    basis = SystemBasis(n_qubits=len(qubits), n_cavities=len(omegas), n_levels=m_levels)
-    points = list(_evaluate_sweep(point_inputs, omegas, fields_at, basis,
-                                  chi_qubit, chi_cavity, zeta_pair))
+    qi, swept_centers, swept_l_nh, extra = _sweep_points(cfg, geom, dipoles, sweep_type)
+    # one transmon solve: the configured qubits, then the swept junctions
+    owners = list(range(n_q)) + [qi] * len(swept_l_nh or [])
+    l_nh += swept_l_nh or []
+    params = [TransmonParams.from_circuit(c_ant[q] + c_load[q], nh_to_henry(l))
+              for q, l in zip(owners, l_nh)]
+    try:
+        levels, elements = transmon_spectra(params, n_levels=m_levels)
+    except ConvergenceError as exc:
+        if exc.point is None:
+            raise
+        where = f"qubit {exc.point}" if exc.point < n_q else f"sweep point {exc.point - n_q}"
+        raise ConvergenceError(f"{where} (L_J = {l_nh[exc.point]!r} nH): {exc}",
+                               point=exc.point) from exc
+
+    # per-qubit arrays [point, qubit, ...] over the sweep's points (a run
+    # without a sweep has no extra output keys and one point)
+    n_points = len(next(iter(extra.values()), [None]))
+    dipoles, point_levels, point_elements = (
+        np.repeat(values[None, :n_q], n_points, axis=0)
+        for values in (dipoles, levels, elements))
+    if swept_centers is not None:
+        dipoles[:, qi, :3] = swept_centers
+    if swept_l_nh is not None:
+        point_levels[:, qi] = levels[n_q:]
+        point_elements[:, qi] = elements[n_q:]
+    couplings = transition_couplings(point_elements, c_ant, c_load, dipoles[..., 6],
+                                     dipoles[..., 3:6], fields_at(dipoles), omegas)
+    basis = SystemBasis(n_qubits=n_q, n_cavities=len(omegas), n_levels=m_levels)
+    points = _point_entries(
+        dispersive_columns(sector_spectra(point_levels, omegas, couplings, basis),
+                           qubit=chi_qubit, cavity=chi_cavity, qubit_pair=zeta_pair),
+        extra)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": sha,
@@ -413,7 +434,7 @@ def cmd_dispersive(args) -> int:
                          for lbl, om in zip(labels, omegas)],
         "M": m_levels,
         "sweep_type": sweep_type,
-        "qubit_c_ant_fF": [q.c_ant / 1e-15 for q in qubits],
+        "qubit_c_ant_fF": [c / 1e-15 for c in c_ant],
         "points": points,
         **_external_modes_hash(cfg),
     }

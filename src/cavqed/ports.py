@@ -52,8 +52,11 @@ class ScatteringResponse:
     g2: float
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        if not 0 < self.omega0 < math.inf:  # also rejects NaN
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0!r}")
+        for name in ("g1", "g2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe,

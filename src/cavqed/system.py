@@ -30,13 +30,21 @@ through one ``eigh`` call, and every point gets the values it would get alone
 (:func:`sector_spectrum` is the one-point call).  Dressed states are labeled
 by greedy maximum-overlap assignment and flagged when the winning overlap is
 not above 1/2 (hybridization too strong for the label to mean anything).
-:func:`dipole_center_fields` likewise samples the fields at many dipoles in
-one :func:`eval_fields` call per mode, and :func:`transition_couplings` turns
-a sweep's fields into its rates g[p, k, q, j] in one expression.
+A sweep stays arrays from its inputs to its read-out:
+:func:`dipole_center_fields` samples the fields at many dipoles (centers,
+axes, lengths) in one :func:`eval_fields` call per mode,
+:func:`transition_couplings` turns the per-qubit arrays of a sweep into its
+rates g[p, k, q, j] in one expression, :func:`sector_spectra` returns the
+energies and overlaps [point, label] with the labels once, and
+:func:`dispersive_columns` reads omega01, alpha, chi, zeta and the flags of
+every point from the read-out labels' columns.  :class:`QubitInstance`,
+:func:`coupling_matrix`, :class:`DressedSpectrum` and
+:func:`dispersive_params` are the one-point views of the same code.
 """
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -68,7 +76,8 @@ MAX_SECTOR_STATES = 8192
 @dataclass(frozen=True)
 class QubitInstance:
     """A dipole-antenna transmon placed in the cavity: geometry, diagonalized
-    spectrum, and the two capacitances of the input divider (farads)."""
+    spectrum, and the two capacitances of the input divider (farads); the
+    one-point input of :func:`coupling_matrix`."""
 
     dipole: DipoleSpec
     spectrum: TransmonSpectrum
@@ -76,8 +85,10 @@ class QubitInstance:
     c_load: float
 
     def __post_init__(self) -> None:
-        if self.c_ant <= 0 or self.c_load <= 0:
-            raise ValueError("c_ant and c_load must be positive")
+        for name in ("c_ant", "c_load"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def divider(self) -> float:
@@ -85,15 +96,20 @@ class QubitInstance:
         return self.c_ant / (self.c_ant + self.c_load)
 
 
-def validate_qubit_placement(qubit: QubitInstance, geom: CavityGeometry) -> None:
-    """Raise ValueError unless both dipole tips lie inside the cavity box."""
-    center = np.asarray(qubit.dipole.center)
-    axis = np.asarray(qubit.dipole.orientation)
-    for sign in (-1.0, 1.0):
-        tip = center + sign * 0.5 * qubit.dipole.length * axis
-        lims = (geom.a, geom.b, geom.d)
-        if any(t < 0.0 or t > lim for t, lim in zip(tip, lims)):
-            raise ValueError(f"dipole tip {tuple(tip)} lies outside the cavity")
+def first_misplaced_dipole(centers, axes, lengths, geom: CavityGeometry):
+    """``(index, tip)`` of the first dipole, in C order over the leading axes
+    of ``centers`` [..., 3], with a tip outside the cavity box, and that tip
+    (m) as a tuple of floats; None when every tip lies inside.  ``axes``
+    [..., 3] are unit vectors and ``lengths`` [...] tip-to-tip lengths."""
+    offset = (0.5 * np.asarray(lengths, dtype=float))[..., None] * axes
+    tips = np.stack([centers - offset, centers + offset], axis=-2)  # [..., tip, xyz]
+    outside = (tips < 0.0) | (tips > (geom.a, geom.b, geom.d))
+    if not outside.any():
+        return None
+    bad = outside.any(axis=(-2, -1))
+    index = np.unravel_index(np.argmax(bad), bad.shape)
+    return (tuple(int(i) for i in index),
+            tuple(tips[index][np.argmax(outside[index].any(axis=-1))].tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,10 +156,11 @@ class CouplingMatrix:
         object.__setattr__(self, "g", arr)
 
 
-def dipole_center_fields(dipoles: Sequence[DipoleSpec], mode: CavityMode,
+def dipole_center_fields(centers, axes, lengths, mode: CavityMode,
                          geom: CavityGeometry) -> np.ndarray:
-    """Unit-normalized E vectors [dipole, xyz] of the mode at each dipole
-    center, from one :func:`eval_fields` call over all the dipoles.
+    """Unit-normalized E vectors [dipole, xyz] of the mode at the centers
+    [dipole, xyz] of dipoles with unit axes [dipole, xyz] and tip-to-tip
+    lengths [dipole], from one :func:`eval_fields` call over all of them.
 
     Samples the axial field at five points along each wire and warns with
     :class:`FieldVariationWarning`, once per dipole, where it varies by more
@@ -151,9 +168,9 @@ def dipole_center_fields(dipoles: Sequence[DipoleSpec], mode: CavityMode,
     triangular-current average).  :func:`eval_fields` is pointwise, so each
     dipole's field is bitwise the one it gets alone.
     """
-    axes = np.array([d.orientation for d in dipoles], dtype=float).reshape(-1, 3)
-    centers = np.array([d.center for d in dipoles], dtype=float).reshape(-1, 3)
-    lengths = np.array([d.length for d in dipoles], dtype=float)
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    lengths = np.asarray(lengths, dtype=float).reshape(-1)
     fractions = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     points = (centers[:, None]
               + fractions[None, :, None] * axes[:, None] * lengths[:, None, None])
@@ -192,43 +209,53 @@ def receiving_voltage_line_integral(dipole: DipoleSpec, mode: CavityMode,
     return float(np.sum(weights * axial) * ds)
 
 
-def transition_couplings(point_qubits: Sequence[Sequence[QubitInstance]], fields,
-                         cavity_omegas: Sequence[float], n_levels: int) -> np.ndarray:
+def transition_couplings(elements, c_ant, c_load, lengths, axes, fields,
+                         cavity_omegas: Sequence[float]) -> np.ndarray:
     """Coupling rates g[p, k, q, j] (rad/s) of transition j -> j+1 of qubit q
-    of point p to mode k, j < n_levels-1, for a stack of P points:
+    of point p to mode k, for a stack of P points of Q qubits:
     ((2e * |<j|n|j+1>|) * sqrt(omega_k/(2*eps0*hbar))) * (divider * V_RX)
-    elementwise, so no point depends on the stack.  ``fields`` [p, k, q, xyz]
-    holds the unit-normalized E vectors at the dipole centers (analytic or
-    external).  ValueError when a spectrum lacks n_levels-1 charge elements."""
-    m = n_levels - 1
-    shape = (len(point_qubits), np.shape(fields)[2])  # [p, q]
-    qubits = [qubit for qubits in point_qubits for qubit in qubits]
-    for i, qubit in enumerate(qubits):
-        if len(qubit.spectrum.charge_elements) < m:
-            raise ValueError(f"qubit {i % shape[1]} spectrum has "
-                             f"{len(qubit.spectrum.charge_elements)} charge elements; "
-                             f"need {m}")
-    element = np.abs([qubit.spectrum.charge_elements[:m] for qubit in qubits])
-    divider = np.reshape([qubit.divider for qubit in qubits], shape)
-    half_length = 0.5 * np.reshape([qubit.dipole.length for qubit in qubits], shape)
-    axes = np.reshape([qubit.dipole.orientation for qubit in qubits], (*shape, 3))
+    elementwise, so no point depends on the stack.
+
+    ``elements`` [p, q, j] are the charge elements |<j|n|j+1>|, ``c_ant``,
+    ``c_load`` and ``lengths`` [p, q] the divider's capacitances (F) and the
+    dipoles' tip-to-tip lengths (m), ``axes`` [p, q, xyz] their unit axes,
+    and ``fields`` [p, k, q, xyz] the unit-normalized E vectors at their
+    centers (analytic or external).  An input that is the same at every
+    point may drop its point axis, e.g. ``c_ant`` [q]."""
+    c_ant = np.asarray(c_ant, dtype=float)
+    divider = c_ant / (c_ant + np.asarray(c_load, dtype=float))
+    half_length = 0.5 * np.asarray(lengths, dtype=float)
+    axes = np.asarray(axes, dtype=float)
     # l_hat . E: one matmul dot per (p, k, q), bitwise `E @ l_hat` of one vector
-    dot = (np.asarray(fields, dtype=float)[..., None, :] @ axes[:, None, ..., None])[..., 0, 0]
+    dot = (np.asarray(fields, dtype=float)[..., None, :]
+           @ axes[..., None, :, :, None])[..., 0, 0]
     rate = np.sqrt(np.asarray(cavity_omegas, dtype=float) / (2.0 * EPS0 * HBAR))
-    return (2.0 * E_CHARGE * element.reshape(*shape, m)[:, None] * rate[:, None, None]
-            * (divider[:, None] * (half_length[:, None] * dot))[..., None])
+    return (2.0 * E_CHARGE * np.asarray(elements, dtype=float)[..., None, :, :]
+            * rate[:, None, None]
+            * (divider[..., None, :] * (half_length[..., None, :] * dot))[..., None])
 
 
 def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode],
                     geom: CavityGeometry, n_levels: int) -> CouplingMatrix:
     """All g[k, q, j] for j = 0..n_levels-2 of one set of qubits: the
     one-point :func:`transition_couplings`, with the fields of each mode at
-    all the dipoles from one :func:`dipole_center_fields` call."""
-    dipoles = [qubit.dipole for qubit in qubits]
-    fields = [dipole_center_fields(dipoles, mode, geom) for mode in modes]
+    all the dipoles from one :func:`dipole_center_fields` call.  ValueError
+    when a spectrum lacks n_levels-1 charge elements."""
+    m = n_levels - 1
+    for q, qubit in enumerate(qubits):
+        if len(qubit.spectrum.charge_elements) < m:
+            raise ValueError(f"qubit {q} spectrum has "
+                             f"{len(qubit.spectrum.charge_elements)} charge elements; "
+                             f"need {m}")
+    centers = np.array([qubit.dipole.center for qubit in qubits], dtype=float)
+    axes = np.array([qubit.dipole.orientation for qubit in qubits], dtype=float)
+    lengths = np.array([qubit.dipole.length for qubit in qubits])
+    fields = [dipole_center_fields(centers, axes, lengths, mode, geom) for mode in modes]
     return CouplingMatrix(g=transition_couplings(
-        [qubits], np.reshape(fields, (1, len(modes), len(qubits), 3)),
-        [mode.omega for mode in modes], n_levels)[0])
+        np.abs([[qubit.spectrum.charge_elements[:m] for qubit in qubits]]),
+        [[qubit.c_ant for qubit in qubits]], [[qubit.c_load for qubit in qubits]],
+        lengths[None], axes[None], np.reshape(fields, (1, len(modes), len(qubits), 3)),
+        [mode.omega for mode in modes])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +296,27 @@ class DressedSpectrum:
     def flagged(self) -> tuple[tuple[int, ...], ...]:
         """Labels whose identification is unreliable, in basis order."""
         return tuple(lbl for lbl in self.levels if self.is_flagged(lbl))
+
+
+class SectorSpectra:
+    """Dressed spectra of the sectors N <= 2 of a stack of points, as
+    :func:`sector_spectra` returns them: one column per label of ``labels``
+    (basis order), with the dressed energies (rad/s) in ``energy`` and the
+    squared overlaps with the bare states in ``overlap``, both [point, label].
+    ``spectra[p]`` is point p's :class:`DressedSpectrum`."""
+
+    __slots__ = ("basis", "labels", "energy", "overlap")
+
+    def __init__(self, basis: SystemBasis, labels: tuple[tuple[int, ...], ...],
+                 energy: np.ndarray, overlap: np.ndarray) -> None:
+        self.basis, self.labels, self.energy, self.overlap = basis, labels, energy, overlap
+
+    def __len__(self) -> int:
+        return len(self.energy)
+
+    def __getitem__(self, point: int) -> DressedSpectrum:
+        return DressedSpectrum(self.basis, dict(zip(
+            self.labels, zip(self.energy[point].tolist(), self.overlap[point].tolist()))))
 
 
 def _greedy_assign(overlap2: np.ndarray) -> np.ndarray:
@@ -388,7 +436,7 @@ def _sector_layout(n_qubits: int, n_cavities: int, n_levels: int) -> _SectorLayo
 
 
 def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
-                   basis: SystemBasis) -> list[DressedSpectrum]:
+                   basis: SystemBasis) -> SectorSpectra:
     """Dressed spectra of the excitation-number sectors N <= 2, the sectors
     of every state :func:`dispersive_params` reads, for a stack of P points
     that share the basis and the cavity frequencies.
@@ -405,8 +453,8 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
     labeled by :func:`_greedy_assign`, so an eigenvector never mixes sectors
     and a point's spectrum does not depend on the stack it is solved in.
     Points are solved in chunks whose blocks hold at most
-    :data:`MAX_SECTOR_STATES` ** 2 entries per ``eigh`` call, and the spectra
-    are returned in point order.  Inputs that do not match the basis, and a
+    :data:`MAX_SECTOR_STATES` ** 2 entries per ``eigh`` call, and the result
+    holds the energies and overlaps [point, label] in point order.  Inputs that do not match the basis, and a
     basis whose N = 2 block would exceed :data:`MAX_SECTOR_STATES`, raise
     ValueError before anything is allocated.
     """
@@ -433,7 +481,8 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
     occ = layout.occ
     largest = max(len(sector.rows) for sector in layout.sectors)
     per_chunk = max(1, MAX_SECTOR_STATES**2 // largest**2)
-    spectra = []
+    energies = np.empty((len(levels), len(occ)))
+    overlaps = np.empty_like(energies)
     for start in range(0, len(levels), per_chunk):
         chunk = slice(start, start + per_chunk)
         n_points = len(levels[chunk])
@@ -444,13 +493,11 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
             diag = diag + local[:, occ[:, q]]
         for k, omega_k in enumerate(cavity_omegas):
             diag = diag + omega_k * occ[:, n_q + k]
-        energies = np.empty_like(diag)
-        overlaps = np.empty_like(diag)
         for rows, src, dst, k, q, j, amplitude in layout.sectors:
             n = len(rows)
             if n <= 1:  # N = 0, or N = 2 of one two-level site: already diagonal
-                energies[:, rows] = diag[:, rows]
-                overlaps[:, rows] = 1.0
+                energies[chunk, rows] = diag[:, rows]
+                overlaps[chunk, rows] = 1.0
                 continue
             blocks = np.zeros((n_points, n, n))
             blocks.reshape(n_points, n * n)[:, ::n + 1] = diag[:, rows]  # diagonals
@@ -458,12 +505,9 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
             values, vectors = np.linalg.eigh(blocks)
             overlap2 = np.square(vectors, out=vectors)
             assigned = _greedy_assign(overlap2)
-            energies[:, rows] = values[point, assigned]
-            overlaps[:, rows] = overlap2[point, np.arange(n), assigned]
-        spectra.extend(DressedSpectrum(basis, dict(zip(layout.labels,
-                                                       zip(e_row.tolist(), o_row.tolist()))))
-                       for e_row, o_row in zip(energies, overlaps))
-    return spectra
+            energies[chunk, rows] = values[point, assigned]
+            overlaps[chunk, rows] = overlap2[point, np.arange(n), assigned]
+    return SectorSpectra(basis, layout.labels, energies, overlaps)
 
 
 def sector_spectrum(spectra: Sequence[TransmonSpectrum],
@@ -500,12 +544,41 @@ class DispersiveResult:
     min_label_overlap: float
 
 
+class DispersiveColumns(NamedTuple):
+    """The :class:`DispersiveResult` of every point of a stack, as arrays over
+    the points (rad/s; ``alpha`` and ``zeta`` are None where a point's would
+    be), with the read-out labels once: ``flagged`` [point, label] marks the
+    labels at or below the threshold.  ``columns.point(p)`` is point p's
+    :class:`DispersiveResult`."""
+
+    omega01: np.ndarray
+    alpha: np.ndarray | None
+    omega_cavity: np.ndarray
+    chi: np.ndarray
+    zeta: np.ndarray | None
+    labels: tuple[tuple[int, ...], ...]
+    flagged: np.ndarray
+    min_label_overlap: np.ndarray
+
+    def point(self, p: int) -> DispersiveResult:
+        return DispersiveResult(
+            omega01=float(self.omega01[p]),
+            alpha=None if self.alpha is None else float(self.alpha[p]),
+            omega_cavity=float(self.omega_cavity[p]), chi=float(self.chi[p]),
+            zeta=None if self.zeta is None else float(self.zeta[p]),
+            flags=tuple(lbl for lbl, flagged in zip(self.labels, self.flagged[p].tolist())
+                        if flagged),
+            min_label_overlap=float(self.min_label_overlap[p]))
+
+
 @functools.lru_cache(maxsize=64)
-def _readout_labels(basis: SystemBasis, qubit: int, cavity: int,
-                    qubit_pair: tuple[int, int] | None) -> dict[str, tuple[int, ...]]:
-    """The labels :func:`dispersive_params` reads, by name, in reading order:
-    ground, q1, c1, q1c1, then q2 from three levels on, then a1, b1, ab for
-    a qubit pair (a, b).  ValueError for an index outside the basis."""
+def _readout(basis: SystemBasis, qubit: int, cavity: int,
+             qubit_pair: tuple[int, int] | None) -> tuple[tuple, dict[str, int]]:
+    """``(labels, column)``: the labels :func:`dispersive_params` reads,
+    distinct and in reading order, and the index in ``labels`` of each named
+    one: ground, q1, c1, q1c1, then q2 from three levels on, then a1, b1, ab
+    for a qubit pair (a, b).  ValueError for an index outside the basis.
+    The result is shared by every caller: do not change ``column``."""
     if not 0 <= qubit < basis.n_qubits:
         raise ValueError(f"qubit index {qubit} outside basis")
     if not 0 <= cavity < basis.n_cavities:
@@ -516,16 +589,17 @@ def _readout_labels(basis: SystemBasis, qubit: int, cavity: int,
         return tuple(sites.count(site) for site in range(basis.n_sites))
 
     c = basis.n_qubits + cavity
-    labels = {"ground": label(), "q1": label(qubit), "c1": label(c),
-              "q1c1": label(qubit, c)}
+    named = {"ground": label(), "q1": label(qubit), "c1": label(c),
+             "q1c1": label(qubit, c)}
     if basis.n_levels >= 3:
-        labels["q2"] = label(qubit, qubit)
+        named["q2"] = label(qubit, qubit)
     if qubit_pair is not None:
         qa, qb = qubit_pair
         if qa == qb or not all(0 <= x < basis.n_qubits for x in (qa, qb)):
             raise ValueError(f"invalid qubit pair {qubit_pair}")
-        labels.update(a1=label(qa), b1=label(qb), ab=label(qa, qb))
-    return labels
+        named.update(a1=label(qa), b1=label(qb), ab=label(qa, qb))
+    labels = tuple(dict.fromkeys(named.values()))
+    return labels, {name: labels.index(lbl) for name, lbl in named.items()}
 
 
 def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
@@ -538,17 +612,37 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
         chi     = E(q=1,c=1) - E(q=1) - E(c=1) + E(0)
         zeta    = E(qa=1,qb=1) - E(qa=1) - E(qb=1) + E(0)   (when a pair is given)
 
-    Values are returned whatever the labels' overlaps; the flagged labels are
-    reported in ``flags`` and the smallest overlap in ``min_label_overlap``.
+    each evaluated left to right.  Values are returned whatever the labels'
+    overlaps; the flagged labels are reported in ``flags`` and the smallest
+    overlap in ``min_label_overlap``.  The one-point :func:`dispersive_columns`.
     """
-    labels = _readout_labels(dressed.basis, qubit, cavity,
-                             None if qubit_pair is None else tuple(qubit_pair))
-    used = tuple(dict.fromkeys(labels.values()))
-    e = {name: dressed.energy(lbl) for name, lbl in labels.items()}
+    labels, _ = _readout(dressed.basis, qubit, cavity,
+                         None if qubit_pair is None else tuple(qubit_pair))
+    spectra = SectorSpectra(dressed.basis, labels,
+                            np.array([[dressed.energy(lbl) for lbl in labels]]),
+                            np.array([[dressed.overlap(lbl) for lbl in labels]]))
+    return dispersive_columns(spectra, qubit, cavity, qubit_pair).point(0)
+
+
+def dispersive_columns(spectra: SectorSpectra, qubit: int = 0, cavity: int = 0,
+                       qubit_pair: Sequence[int] | None = None) -> DispersiveColumns:
+    """:func:`dispersive_params` of every point of ``spectra`` at once, one
+    operation per quantity over the columns of the read-out labels;
+    ``dispersive_columns(spectra).point(p)`` equals
+    ``dispersive_params(spectra[p])``."""
+    labels, column = _readout(spectra.basis, qubit, cavity,
+                              None if qubit_pair is None else tuple(qubit_pair))
+    position = {label: i for i, label in enumerate(spectra.labels)}
+    columns = [position[lbl] for lbl in labels]
+    energy, overlap = spectra.energy[:, columns], spectra.overlap[:, columns]
+    e = {name: energy[:, i] for name, i in column.items()}
     e0, e_q1 = e["ground"], e["q1"]
-    alpha = e["q2"] - 2.0 * e_q1 + e0 if "q2" in e else None
-    zeta = e["ab"] - e["a1"] - e["b1"] + e0 if "ab" in e else None
-    return DispersiveResult(omega01=e_q1 - e0, alpha=alpha, omega_cavity=e["c1"] - e0,
-                            chi=e["q1c1"] - e_q1 - e["c1"] + e0, zeta=zeta,
-                            flags=tuple(lbl for lbl in used if dressed.is_flagged(lbl)),
-                            min_label_overlap=min(map(dressed.overlap, used)))
+    return DispersiveColumns(
+        omega01=e_q1 - e0,
+        alpha=e["q2"] - 2.0 * e_q1 + e0 if "q2" in e else None,
+        omega_cavity=e["c1"] - e0,
+        chi=e["q1c1"] - e_q1 - e["c1"] + e0,
+        zeta=e["ab"] - e["a1"] - e["b1"] + e0 if "ab" in e else None,
+        labels=labels,
+        flagged=overlap <= FLAG_THRESHOLD + FLAG_BOUNDARY_SLACK,
+        min_label_overlap=overlap.min(axis=1))

@@ -78,8 +78,10 @@ class TransmonParams:
     E_J: float
 
     def __post_init__(self) -> None:
-        if self.E_C <= 0 or self.E_J <= 0:
-            raise ValueError("E_C and E_J must be positive")
+        for name in ("E_C", "E_J"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.E_J / self.E_C < MIN_RATIO_FOR_TRANSMON_REGIME:
             warnings.warn(
                 f"E_J/E_C = {self.E_J / self.E_C:.2f} < "
@@ -91,8 +93,9 @@ class TransmonParams:
     def from_circuit(cls, c_total: float, l_j: float) -> "TransmonParams":
         """From total shunt capacitance (F) and junction inductance (H):
         E_C = e^2/(2*C), E_J = (hbar/(2e))^2 / L_J."""
-        if c_total <= 0 or l_j <= 0:
-            raise ValueError("c_total and l_j must be positive")
+        for name, value in (("c_total", c_total), ("l_j", l_j)):
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         e_c = E_CHARGE**2 / (2.0 * c_total)
         e_j = (HBAR / (2.0 * E_CHARGE))**2 / l_j
         return cls(E_C=e_c, E_J=e_j)
@@ -226,11 +229,12 @@ def _solve_cutoff_group(e_c: np.ndarray, e_j: np.ndarray, n_levels: int,
 
 
 def transmon_spectra(params: Sequence[TransmonParams], n_levels: int = 4,
-                     n_charge: int | None = None) -> list[TransmonSpectrum]:
-    """Exact charge-basis spectra of many transmons, one parity-split solve
-    per distinct cutoff (:func:`default_charge_cutoff` of each point unless
-    ``n_charge`` is given); a point's spectrum is bitwise that of its own
-    one-point call.
+                     n_charge: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact charge-basis spectra of P transmons, one parity-split solve per
+    distinct cutoff (:func:`default_charge_cutoff` of each point unless
+    ``n_charge`` is given): the ground-referenced levels (P, n_levels) in
+    rad/s and the charge elements |<j|n|j+1>| (P, n_levels - 1).  A point's
+    rows are bitwise those of its own one-point call.
 
     Raises :class:`ConvergenceError`, with the lowest failing index as
     ``point``, when the truncation residual could move a ground-referenced
@@ -242,29 +246,30 @@ def transmon_spectra(params: Sequence[TransmonParams], n_levels: int = 4,
         raise ValueError("charge cutoff too small for requested level count")
     cutoffs = [default_charge_cutoff(p, n_levels) if n_charge is None else n_charge
                for p in params]
-    spectra: list = [None] * len(cutoffs)
+    levels = np.empty((len(cutoffs), n_levels))
+    elements = np.empty((len(cutoffs), n_levels - 1))
     failed = []
     for cutoff in sorted(set(cutoffs)):
         points = [p for p, c in enumerate(cutoffs) if c == cutoff]
         e_c = np.array([[params[p].E_C] for p in points])
         e_j = np.array([[params[p].E_J] for p in points])
-        levels, elements, unconverged = _solve_cutoff_group(e_c, e_j, n_levels, cutoff)
+        group_levels, group_elements, unconverged = _solve_cutoff_group(
+            e_c, e_j, n_levels, cutoff)
+        levels[points] = group_levels / HBAR
+        elements[points] = group_elements
         failed += [points[i] for i in np.flatnonzero(unconverged)]
-        for p, point_levels, point_elements in zip(points, (levels / HBAR).tolist(),
-                                                   elements.tolist()):
-            spectra[p] = TransmonSpectrum(
-                params=params[p], levels=tuple(point_levels),
-                charge_elements=tuple(-1j * el for el in point_elements))
     if failed:
         point = min(failed)
         raise ConvergenceError(
             f"charge-basis results not converged at cutoff {cutoffs[point]} "
             f"(E_J/E_C = {params[point].E_J / params[point].E_C:.6g}); "
             "increase n_charge", point=point)
-    return spectra
+    return levels, elements
 
 
 def transmon_spectrum(params: TransmonParams, n_levels: int = 4,
                       n_charge: int | None = None) -> TransmonSpectrum:
     """One-point call of :func:`transmon_spectra`."""
-    return transmon_spectra([params], n_levels, n_charge)[0]
+    levels, elements = transmon_spectra([params], n_levels, n_charge)
+    return TransmonSpectrum(params=params, levels=tuple(levels[0].tolist()),
+                            charge_elements=tuple(-1j * el for el in elements[0].tolist()))

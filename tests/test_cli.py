@@ -719,6 +719,26 @@ class TestExitCodes:
         assert rc == 3
         assert "error (degenerate physics)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, overrides, message", [
+        # the grid's first points put the tips of a 2.5 mm x-directed dipole
+        # through the x = 0 wall (the configured center is inside)
+        (CHI_MAP, ["qubits.0.dipole.orientation=[1.0, 0.0, 0.0]",
+                   "qubits.0.dipole.length_mm=2.5"],
+         "sweep point 0 (x = 1 mm, z = 1 mm): qubit 0 dipole tip (-0.25, 5.08, 1) mm "
+         "lies outside the cavity"),
+        (TABLE1, ["qubits.0.dipole.center_mm=[11.43, 9.9, 20.0]"],
+         "qubit 0 dipole tip (11.43, 10.4, 20) mm lies outside the cavity"),
+    ])
+    def test_misplaced_dipole_named(self, tmp_path, capsys, config, overrides, message):
+        argv = ["dispersive", "--config", config, "--out", str(tmp_path / "d.json")]
+        for assignment in overrides:
+            argv += ["--override", assignment]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error (configuration): {message}" in err
+        assert "np." not in err
+        assert not (tmp_path / "d.json").exists()
+
     def test_numerical_failure(self, tmp_path, capsys, monkeypatch):
         def broken(params, n_levels=4, n_charge=None):
             raise ConvergenceError("charge basis did not converge")
@@ -750,6 +770,24 @@ class TestExitCodes:
         assert "error (numerical): sweep point 1 (L_J = 2.5 nH)" in err
         assert "not converged at cutoff 3 " in err
 
+
+    def test_convergence_error_names_fixed_qubit(self, tmp_path, capsys, monkeypatch):
+        # the same cutoff, now too small for the fixed qubit 0 (3.095 nH) and
+        # the sweep's points below 3.2 nH: the fixed qubit is named first
+        default_cutoff = cq.transmon.default_charge_cutoff
+        e_j_threshold = cq.TransmonParams.from_circuit(1e-13, 3.2e-9).E_J
+
+        def cutoff(params, n_levels):
+            return 3 if params.E_J > e_j_threshold else default_cutoff(params, n_levels)
+
+        monkeypatch.setattr(cq.transmon, "default_charge_cutoff", cutoff)
+        rc = cli.main(["dispersive", "--config", ZZ_SWEEP,
+                       "--out", str(tmp_path / "d.json"),
+                       "--override", "dispersive.sweep.n_points=3"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "error (numerical): qubit 0 (L_J = 3.095 nH)" in err
+        assert "not converged at cutoff 3 " in err
 
 def test_import_leaves_scipy_unloaded():
     """Neither scipy nor jsonschema is a runtime dependency."""

@@ -77,6 +77,12 @@ class TestTwoPortResponse:
     def test_response_validation(self):
         with pytest.raises(ValueError):
             cq.ScatteringResponse(omega0=-1.0, g1=1.0, g2=1.0)
+        # NaN passes a `<= 0` test; every non-finite input is refused by name
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+                cq.ScatteringResponse(omega0=bad, g1=1.0, g2=1.0)
+            with pytest.raises(ValueError, match="g2 must be finite"):
+                cq.ScatteringResponse(omega0=1e9, g1=1.0, g2=bad)
 
 
 class TestTransferFunctions:

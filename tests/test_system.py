@@ -53,10 +53,28 @@ def dense_reference(dressed_reference, dense_hamiltonian):
     return oracles.dressed_spectrum(dense_hamiltonian, dressed_reference[0])
 
 
+def dipole_arrays(dipoles):
+    """Centers and axes [dipole, xyz] and lengths [dipole] of DipoleSpecs."""
+    return (np.array([d.center for d in dipoles]), np.array([d.orientation for d in dipoles]),
+            np.array([d.length for d in dipoles]))
+
+
+def qubit_couplings(point_qubits, fields, omegas, n_levels):
+    """transition_couplings of a stack of points given as QubitInstance lists."""
+    def per_qubit(value):
+        return [[value(qubit) for qubit in qubits] for qubits in point_qubits]
+
+    return cq.transition_couplings(
+        np.abs(per_qubit(lambda q: q.spectrum.charge_elements[:n_levels - 1])),
+        per_qubit(lambda q: q.c_ant), per_qubit(lambda q: q.c_load),
+        per_qubit(lambda q: q.dipole.length), per_qubit(lambda q: q.dipole.orientation),
+        fields, omegas)
+
+
 def point_voltage(dipole, mode, geom):
     """Point-dipole receiving voltage (1/2) * l * (l_hat . E(center)) from the
     library's field at the dipole center."""
-    e_center = cq.dipole_center_fields([dipole], mode, geom)[0]
+    e_center = cq.dipole_center_fields(*dipole_arrays([dipole]), mode, geom)[0]
     return 0.5 * dipole.length * float(e_center @ np.asarray(dipole.orientation))
 
 
@@ -91,11 +109,12 @@ class TestReceivingVoltage:
                                     center=(geom.a / 2, geom.b / 2, 15e-3),
                                     orientation=(0.0, 1.0, 1.0))
         with pytest.warns(FieldVariationWarning) as alone:
-            fields = [cq.dipole_center_fields([dipole], te102, geom)[0]
+            fields = [cq.dipole_center_fields(*dipole_arrays([dipole]), te102, geom)[0]
                       for dipole in (center_dipole, long_tilted)]
         with warnings.catch_warnings(record=True) as stacked_warnings:
             warnings.simplefilter("always")
-            stacked = cq.dipole_center_fields([center_dipole, long_tilted], te102, geom)
+            stacked = cq.dipole_center_fields(*dipole_arrays([center_dipole, long_tilted]),
+                                              te102, geom)
         assert stacked.shape == (2, 3)
         assert stacked.tobytes() == np.array(fields).tobytes()
         [warning] = stacked_warnings
@@ -122,8 +141,8 @@ class TestCouplingRates:
         qubit = reference_system["qubit"]
         mode = reference_system["modes"][0]
         e_field, _ = cq.eval_fields(mode, geom, qubit.dipole.center)
-        g_field = cq.transition_couplings([[qubit]], np.reshape(e_field, (1, 1, 1, 3)),
-                                          [mode.omega], n_levels=2)[0, 0, 0, 0]
+        g_field = qubit_couplings([[qubit]], np.reshape(e_field, (1, 1, 1, 3)),
+                                  [mode.omega], n_levels=2)[0, 0, 0, 0]
         g_direct = cq.coupling_matrix([qubit], [mode], geom, n_levels=2).g[0, 0, 0]
         npt.assert_allclose(g_field, g_direct, rtol=1e-12)
 
@@ -133,8 +152,9 @@ class TestCouplingRates:
         couplings = cq.coupling_matrix([qubit], reference_system["modes"], geom,
                                        n_levels=4)
         assert couplings.g.shape == (2, 1, 3)
-        g_direct = cq.transition_couplings(
-            [[qubit]], cq.dipole_center_fields([qubit.dipole], mode, geom)[None, None],
+        g_direct = qubit_couplings(
+            [[qubit]], cq.dipole_center_fields(*dipole_arrays([qubit.dipole]), mode,
+                                               geom)[None, None],
             [mode.omega], n_levels=4)[0, 0, 0, 2]
         npt.assert_allclose(couplings.g[1, 0, 2], g_direct, rtol=0)
 
@@ -157,13 +177,22 @@ class TestCouplingRates:
         for n_qubits in (1, 2):
             point_qubits = [list(qubits)
                             for qubits in itertools.product(variants, repeat=n_qubits)]
-            fields = np.array([[cq.dipole_center_fields([q.dipole for q in qubits],
-                                                        mode, geom)
+            fields = np.array([[cq.dipole_center_fields(
+                                    *dipole_arrays([q.dipole for q in qubits]), mode, geom)
                                 for mode in modes] for qubits in point_qubits])
-            stacked = cq.transition_couplings(point_qubits, fields, omegas, n_levels=3)
+            stacked = qubit_couplings(point_qubits, fields, omegas, n_levels=3)
             assert stacked.shape == (4**n_qubits, 2, n_qubits, 2)
+            # inputs that are the same at every point may drop the point axis
+            base = point_qubits[0]
+            shared = cq.transition_couplings(
+                np.abs([[q.spectrum.charge_elements[:2] for q in base]] * len(point_qubits)),
+                [q.c_ant for q in base], [q.c_load for q in base],
+                [q.dipole.length for q in base], [q.dipole.orientation for q in base],
+                fields, omegas)
+            assert shared.tobytes() == qubit_couplings(
+                [base] * len(point_qubits), fields, omegas, n_levels=3).tobytes()
             for qubits, field, g in zip(point_qubits, fields, stacked):
-                alone = cq.transition_couplings([qubits], field[None], omegas, n_levels=3)
+                alone = qubit_couplings([qubits], field[None], omegas, n_levels=3)
                 assert alone[0].tobytes() == g.tobytes()
                 matrix = cq.coupling_matrix(qubits, modes, geom, n_levels=3)
                 assert matrix.g.tobytes() == g.tobytes()
@@ -188,6 +217,14 @@ class TestCouplingRates:
             cq.coupling_matrix([reference_system["qubit"]],
                                reference_system["modes"], geom, n_levels=7)
 
+    def test_capacitances_validated(self, reference_system):
+        qubit = reference_system["qubit"]
+        for bad in (0.0, -1e-15, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_ant must be positive and finite"):
+                dataclasses.replace(qubit, c_ant=bad)
+            with pytest.raises(ValueError, match="c_load must be positive and finite"):
+                dataclasses.replace(qubit, c_load=bad)
+
     def test_coupling_matrix_validation(self):
         with pytest.raises(ValueError):
             cq.CouplingMatrix(g=np.zeros((2, 2)))
@@ -195,17 +232,29 @@ class TestCouplingRates:
 
 class TestPlacement:
     def test_center_ok(self, reference_system, geom):
-        cq.validate_qubit_placement(reference_system["qubit"], geom)
+        dipole = reference_system["qubit"].dipole
+        assert cq.first_misplaced_dipole(*dipole_arrays([dipole]), geom) is None
 
     def test_tip_outside_rejected(self, reference_system, geom):
-        dipole = cq.DipoleSpec(length=1e-3, radius=0.04e-3, gap=0.102e-3,
-                               center=(geom.a / 2, geom.b - 0.4e-3, geom.d / 2),
-                               orientation=(0.0, 1.0, 0.0))
-        qubit = cq.QubitInstance(dipole=dipole,
-                                 spectrum=reference_system["spectrum"],
-                                 c_ant=reference_system["c_ant"], c_load=C_LOAD)
-        with pytest.raises(ValueError):
-            cq.validate_qubit_placement(qubit, geom)
+        inside = reference_system["qubit"].dipole
+        near_top = cq.DipoleSpec(length=1e-3, radius=0.04e-3, gap=0.102e-3,
+                                 center=(geom.a / 2, geom.b - 0.4e-3, geom.d / 2),
+                                 orientation=(0.0, 1.0, 0.0))
+        index, tip = cq.first_misplaced_dipole(*dipole_arrays([near_top]), geom)
+        assert index == (0,)
+        npt.assert_allclose(tip, (geom.a / 2, geom.b + 0.1e-3, geom.d / 2), rtol=1e-12)
+        assert all(type(c) is float for c in tip)
+        # a stack [point, qubit]: the first misplaced dipole in C order, its lower
+        # tip first when both lie outside
+        centers, axes, lengths = dipole_arrays([inside, near_top, inside, near_top])
+        lengths[2] = 2 * geom.b
+        stack = [array.reshape(2, 2, *array.shape[1:]) for array in (centers, axes, lengths)]
+        index, tip = cq.first_misplaced_dipole(*stack, geom)
+        assert index == (0, 1)
+        stack[1][0, 1] = stack[1][0, 0] = (1.0, 0.0, 0.0)
+        index, tip = cq.first_misplaced_dipole(*stack, geom)
+        assert index == (1, 0)
+        npt.assert_allclose(tip, (geom.a / 2, geom.b / 2 - geom.b, geom.d / 2), rtol=1e-12)
 
 
 class TestSystemBasis:
@@ -650,7 +699,9 @@ def system_stacks(draw):
 
 def test_stacked_points_equal_points_alone():
     """Each point of a stacked solve gets exactly (==) the levels it gets
-    solved alone, on the random systems of test_sector_matches_dense."""
+    solved alone, on the random systems of test_sector_matches_dense, and
+    the column read-out of the stack gives each point exactly the
+    dispersive_params of its own spectrum."""
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(system_stacks())
@@ -660,9 +711,15 @@ def test_stacked_points_equal_points_alone():
         g = np.array([couplings.g for _, couplings in points])
         stacked = cq.sector_spectra(levels, omegas, g, basis)
         assert len(stacked) == len(points)
-        for (spectra, couplings), dressed in zip(points, stacked):
+        assert stacked.energy.shape == stacked.overlap.shape == (len(points),
+                                                                 len(stacked.labels))
+        readout = dict(qubit=basis.n_qubits - 1, cavity=basis.n_cavities - 1,
+                       qubit_pair=(1, 0) if basis.n_qubits == 2 else None)
+        columns = cq.dispersive_columns(stacked, **readout)
+        for p, ((spectra, couplings), dressed) in enumerate(zip(points, stacked)):
             alone = cq.sector_spectrum(spectra, omegas, couplings, basis)
             assert dressed.levels == alone.levels
+            assert columns.point(p) == cq.dispersive_params(alone, **readout)
 
     check()
 

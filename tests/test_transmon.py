@@ -98,6 +98,16 @@ class TestTransmonParams:
             cq.TransmonParams(E_C=0.0, E_J=1e-23)
         with pytest.raises(ValueError):
             cq.TransmonParams(E_C=1e-24, E_J=-1e-23)
+        # NaN passes a `<= 0` test; every non-finite input is refused by name
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="E_C must be positive and finite"):
+                cq.TransmonParams(E_C=bad, E_J=1e-22)
+            with pytest.raises(ValueError, match="E_J must be positive and finite"):
+                cq.TransmonParams(E_C=1e-24, E_J=bad)
+            with pytest.raises(ValueError, match="c_total must be positive and finite"):
+                cq.TransmonParams.from_circuit(bad, 9e-9)
+            with pytest.raises(ValueError, match="l_j must be positive and finite"):
+                cq.TransmonParams.from_circuit(1e-13, bad)
 
     def test_regime_warning(self):
         with pytest.warns(TransmonRegimeWarning):
@@ -239,14 +249,39 @@ class TestParitySplitSolve:
             npt.assert_allclose(levels[1:], dense_levels[1:], rtol=1e-12, atol=0)
             npt.assert_allclose(elements, dense_elements, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("ratio", [1.0, 5.0, 20.0, 50.0, 200.0, 2e4])
+    @pytest.mark.parametrize("n_charge", [2, 5, 12, 25, 60, 150])
+    def test_charge_sum_rule(self, ratio, n_charge):
+        """Sum over every eigenpair j of the truncated charge basis of
+        (E_j - E_0)|<j|n|0>|^2 equals (E_J/2)<0|cos(phi)|0>, i.e. half the
+        ground-state value of [[n, H], n] = E_J cos(phi).  The commutator
+        identity holds in the truncated basis as well, so the rule checks the
+        oracle's vectors and charge elements, against which the split solve is
+        held, at any cutoff, converged or not."""
+        params = _params(ratio)
+        n, energies, vectors = oracles._dense_charge_eigh(params, n_charge)
+        assert vectors.shape == (2 * n_charge + 1,) * 2
+        from_ground = vectors.T @ (n * vectors[:, 0])  # <j|n|0> for every j
+        weighted = np.sum((energies - energies[0]) * from_ground**2)
+        cos_phi = vectors[:-1, 0] @ vectors[1:, 0]  # cos(phi) shifts n by +-1, 1/2 each
+        expected = params.E_J / 2.0 * cos_phi
+        assert abs(weighted - expected) <= 1e-12 * abs(expected)
+
     def test_stack_equals_points_alone(self):
         """A 51-point call over several cutoffs, in shuffled order, gives each
         point bitwise the spectrum of its own one-point call."""
         ratios = np.random.default_rng(21).permutation(np.geomspace(20.0, 300.0, 51))
         params = [_params(ratio) for ratio in ratios]
         assert len({cq.default_charge_cutoff(p, 5) for p in params}) > 1
-        assert cq.transmon_spectra(params, n_levels=5) == [
-            cq.transmon_spectrum(p, n_levels=5) for p in params]
+        levels, elements = cq.transmon_spectra(params, n_levels=5)
+        assert levels.shape == (51, 5) and elements.shape == (51, 4)
+        for p, point_levels, point_elements in zip(params, levels, elements):
+            alone = cq.transmon_spectra([p], n_levels=5)
+            assert point_levels.tobytes() == alone[0].tobytes()
+            assert point_elements.tobytes() == alone[1].tobytes()
+            spectrum = cq.transmon_spectrum(p, n_levels=5)
+            assert spectrum.levels == tuple(point_levels.tolist())
+            assert spectrum.charge_elements == tuple(-1j * el for el in point_elements.tolist())
 
     def test_residual_check_never_looser(self):
         """Over E_J/E_C in [5, 300], 2..8 levels and every cutoff from the
