@@ -300,18 +300,16 @@ def _mm(point) -> str:
     return "(" + ", ".join(f"{c / 1e-3:.6g}" for c in point) + ") mm"
 
 
-def _sweep_points(cfg: dict, geom: CavityGeometry, dipoles: np.ndarray,
-                  sweep_type: str):
+def _sweep_points(cfg: dict, geom: CavityGeometry, n_qubits: int, sweep_type: str):
     """``(qubit, centers, l_nh, extra)`` of a sweep over P points: the swept
     qubit, its dipole centers (P, 3) in m or its junction inductances (P
     floats, nH), whichever moves (the other is None), and the extra output
     keys as columns of P values.  A run without a sweep is one point where
-    nothing moves.  ConfigError names the first grid point that puts a
-    dipole tip outside the cavity."""
+    nothing moves."""
     if sweep_type == "none":
         return 0, None, None, {}
     qi = int(get_setting(cfg, "dispersive.sweep.qubit"))
-    if not 0 <= qi < len(dipoles):
+    if not 0 <= qi < n_qubits:
         raise ConfigError(f"sweep qubit index {qi} out of range")
     if sweep_type == "position_grid":
         n_x = int(get_setting(cfg, "dispersive.sweep.n_x"))
@@ -322,12 +320,6 @@ def _sweep_points(cfg: dict, geom: CavityGeometry, dipoles: np.ndarray,
         x = np.repeat(np.linspace(margin, geom.a / 2.0, n_x), n_z)
         z = np.tile(np.linspace(margin, geom.d / 2.0, n_z), n_x)
         centers = np.stack([x, np.full_like(x, geom.b / 2.0), z], axis=1)
-        misplaced = first_misplaced_dipole(centers, dipoles[qi, 3:6], dipoles[qi, 6], geom)
-        if misplaced is not None:
-            (p,), tip = misplaced
-            raise ConfigError(
-                f"sweep point {p} (x = {x[p] / 1e-3:.6g} mm, z = {z[p] / 1e-3:.6g} mm): "
-                f"qubit {qi} dipole tip {_mm(tip)} lies outside the cavity")
         return qi, centers, None, {"x_mm": (x / 1e-3).tolist(), "z_mm": (z / 1e-3).tolist()}
     if sweep_type == "L_J":
         start = float(get_setting(cfg, "dispersive.sweep.start_nH"))
@@ -375,25 +367,36 @@ def cmd_dispersive(args) -> int:
         zeta_pair = (int(zeta_pair[0]), int(zeta_pair[1]))
     omegas, fields_at, mode_source = _cavity_inputs(cfg, geom, labels, n_q)
 
-    # the configured qubits: divider capacitances (F), L_J (nH), and each
-    # dipole as a row of its center (m), unit axis and length (m)
+    # the configured qubits: dipoles, divider capacitances (F), L_J (nH)
     specs = [build_dipole(qc) for qc in qubit_cfgs]
     c_load = [ff_to_farad(float(qc["C_L_fF"])) for qc in qubit_cfgs]
     c_ant = [ff_to_farad(float(qc["c_ant_fF"])) if "c_ant_fF" in qc
              else dipole_capacitance(spec, min(omegas))
              for qc, spec in zip(qubit_cfgs, specs)]
     l_nh = [float(qc["L_J_nH"]) for qc in qubit_cfgs]
-    dipoles = np.array([(*spec.center, *spec.orientation, spec.length) for spec in specs])
-    misplaced = first_misplaced_dipole(dipoles[:, :3], dipoles[:, 3:6], dipoles[:, 6], geom)
-    if misplaced is not None:
-        (q,), tip = misplaced
-        raise ConfigError(f"qubit {q} dipole tip {_mm(tip)} lies outside the cavity")
 
     sweep_type = str(get_setting(cfg, "dispersive.sweep.type"))
     if sweep_type == "position_grid" and mode_source == "external":
         raise ConfigError("position_grid sweeps need analytic modes "
                           "(external fields are fixed per site)")
-    qi, swept_centers, swept_l_nh, extra = _sweep_points(cfg, geom, dipoles, sweep_type)
+    qi, swept_centers, swept_l_nh, extra = _sweep_points(cfg, geom, n_q, sweep_type)
+    # every dipole of every point as a row of its center (m), unit axis and
+    # length (m) [point, qubit, 7]; a run without a sweep has one point
+    n_points = len(next(iter(extra.values()), [None]))
+    dipoles = np.repeat([[(*spec.center, *spec.orientation, spec.length) for spec in specs]],
+                        n_points, axis=0)
+    if swept_centers is not None:
+        dipoles[:, qi, :3] = swept_centers
+    misplaced = first_misplaced_dipole(dipoles[..., :3], dipoles[..., 3:6], dipoles[..., 6],
+                                       geom)
+    if misplaced is not None:
+        (p, q), tip = misplaced
+        message = f"qubit {q} dipole tip {_mm(tip)} lies outside the cavity"
+        if swept_centers is not None and q == qi:
+            message = (f"sweep point {p} (x = {extra['x_mm'][p]:.6g} mm, "
+                       f"z = {extra['z_mm'][p]:.6g} mm): {message}")
+        raise ConfigError(message)
+
     # one transmon solve: the configured qubits, then the swept junctions
     owners = list(range(n_q)) + [qi] * len(swept_l_nh or [])
     l_nh += swept_l_nh or []
@@ -407,15 +410,9 @@ def cmd_dispersive(args) -> int:
         where = f"qubit {exc.point}" if exc.point < n_q else f"sweep point {exc.point - n_q}"
         raise ConvergenceError(f"{where} (L_J = {l_nh[exc.point]!r} nH): {exc}",
                                point=exc.point) from exc
-
-    # per-qubit arrays [point, qubit, ...] over the sweep's points (a run
-    # without a sweep has no extra output keys and one point)
-    n_points = len(next(iter(extra.values()), [None]))
-    dipoles, point_levels, point_elements = (
-        np.repeat(values[None, :n_q], n_points, axis=0)
-        for values in (dipoles, levels, elements))
-    if swept_centers is not None:
-        dipoles[:, qi, :3] = swept_centers
+    # the levels and charge elements [point, qubit, ...]
+    point_levels, point_elements = (np.repeat(values[None, :n_q], n_points, axis=0)
+                                    for values in (levels, elements))
     if swept_l_nh is not None:
         point_levels[:, qi] = levels[n_q:]
         point_elements[:, qi] = elements[n_q:]

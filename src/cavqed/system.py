@@ -221,7 +221,8 @@ def transition_couplings(elements, c_ant, c_load, lengths, axes, fields,
     dipoles' tip-to-tip lengths (m), ``axes`` [p, q, xyz] their unit axes,
     and ``fields`` [p, k, q, xyz] the unit-normalized E vectors at their
     centers (analytic or external).  An input that is the same at every
-    point may drop its point axis, e.g. ``c_ant`` [q]."""
+    point may drop its point axis, e.g. ``c_ant`` [q]; with every point axis
+    dropped, the result is the one point's g[k, q, j]."""
     c_ant = np.asarray(c_ant, dtype=float)
     divider = c_ant / (c_ant + np.asarray(c_load, dtype=float))
     half_length = 0.5 * np.asarray(lengths, dtype=float)
@@ -252,10 +253,10 @@ def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode]
     lengths = np.array([qubit.dipole.length for qubit in qubits])
     fields = [dipole_center_fields(centers, axes, lengths, mode, geom) for mode in modes]
     return CouplingMatrix(g=transition_couplings(
-        np.abs([[qubit.spectrum.charge_elements[:m] for qubit in qubits]]),
-        [[qubit.c_ant for qubit in qubits]], [[qubit.c_load for qubit in qubits]],
-        lengths[None], axes[None], np.reshape(fields, (1, len(modes), len(qubits), 3)),
-        [mode.omega for mode in modes])[0])
+        np.abs([qubit.spectrum.charge_elements[:m] for qubit in qubits]),
+        [qubit.c_ant for qubit in qubits], [qubit.c_load for qubit in qubits],
+        lengths, axes, np.reshape(fields, (len(modes), len(qubits), 3)),
+        [mode.omega for mode in modes]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,9 +455,9 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
     and a point's spectrum does not depend on the stack it is solved in.
     Points are solved in chunks whose blocks hold at most
     :data:`MAX_SECTOR_STATES` ** 2 entries per ``eigh`` call, and the result
-    holds the energies and overlaps [point, label] in point order.  Inputs that do not match the basis, and a
-    basis whose N = 2 block would exceed :data:`MAX_SECTOR_STATES`, raise
-    ValueError before anything is allocated.
+    holds the energies and overlaps [point, label] in point order.  Inputs
+    that do not match the basis, and a basis whose N = 2 block would exceed
+    :data:`MAX_SECTOR_STATES`, raise ValueError before anything is allocated.
     """
     n_q, n_c, m = basis.n_qubits, basis.n_cavities, basis.n_levels
     levels = np.asarray(levels, dtype=float)
