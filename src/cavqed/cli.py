@@ -255,6 +255,17 @@ def cmd_hom(args) -> int:
 
 # --- dispersive ----------------------------------------------------------------
 
+def _refuse_repeated_modes(labels: list[str], keys: list) -> None:
+    """ConfigError naming the first mode of ``dispersive.cavity_modes`` whose
+    key (its parsed index, or its label for external modes) is listed twice."""
+    first: dict = {}
+    for j, key in enumerate(keys):
+        i = first.setdefault(key, j)
+        if i != j:
+            raise ConfigError(f"dispersive.cavity_modes lists mode {labels[i]} twice: "
+                              f"at positions {i} ({labels[i]!r}) and {j} ({labels[j]!r})")
+
+
 def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits: int):
     """(omega_k per requested mode, field function, mode source), where the
     function maps a sweep's dipoles [point, qubit, 7] (center, unit axis and
@@ -263,6 +274,7 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
     one :func:`dipole_center_fields` call per mode over the sweep's distinct
     dipoles, so each (dipole, mode) field is evaluated once."""
     if "external_modes" in cfg:
+        _refuse_repeated_modes(labels, labels)
         by_label = _external_records(cfg, labels)
         unused = sorted(set(by_label) - set(labels))
         if unused:
@@ -279,7 +291,9 @@ def _cavity_inputs(cfg: dict, geom: CavityGeometry, labels: list[str], n_qubits:
                 lambda dipoles: np.broadcast_to(fixed, (len(dipoles), *fixed.shape)),
                 "external")
     probes = build_probes(cfg)
-    modes = [make_mode(parse_mode_label(lbl), geom) for lbl in labels]
+    indices = [parse_mode_label(lbl) for lbl in labels]
+    _refuse_repeated_modes(labels, indices)
+    modes = [make_mode(index, geom) for index in indices]
     omegas = [perturbed_frequency_tip(mode, geom, probes).omega_perturbed
               if probes else mode.omega for mode in modes]
 

@@ -24,11 +24,13 @@ linewidth Gamma = pi*(g1^2+g2^2) wide compared to the photon bandwidth.
 
 Only the phase exp(-i*omega*tau) depends on the delay: a curve computes the
 response and packet spectra once, and each delay only multiplies them by its
-own phase row, reduced on its own so its g2 is bitwise the same in any delay
-array.  The sums skip the bins where both packet weights are exactly zero (a
-Gaussian weight underflows to 0.0 beyond ~38.6/sigma from its centre): they
-run over the contiguous bins from the first to the last that either packet
-reaches, so only np.sum's grouping differs from summing the whole grid.
+own phase row.  The rows of a block of delays are evaluated together, and each
+is reduced on its own with the same pairwise sum as a 1-D array, so a delay's
+g2 is bitwise the same in any delay array.  The sums skip the bins where both
+packet weights are exactly zero (a Gaussian weight underflows to 0.0 beyond
+~38.6/sigma from its centre): they run over the contiguous bins from the
+first to the last that either packet reaches, so only np.sum's grouping
+differs from summing the whole grid.
 
 Internally the global reference time t0 is fixed to 0; results are
 t0-invariant (a tested property, not a knob).  Proportionality constants
@@ -138,19 +140,65 @@ def spectral_weights(pkt: PhotonWavepacket, grid: FrequencyGrid, t_ref: float = 
     return env / norm * np.exp(1j * om * t_ref)
 
 
+#: Entries (complex) of one block of delay phases in :func:`_delay_sums`: 64 KB
+#: per temporary, so a curve never holds a whole (delay, bin) array.
+BLOCK_ENTRIES = 4096
+
+
 def _delay_sums(omegas: np.ndarray, taus: np.ndarray, plus: np.ndarray,
                 minus: np.ndarray) -> np.ndarray:
     """[sum(plus * exp(+i*omega*tau)), sum(minus * exp(-i*omega*tau))] for the 1-D
-    ``taus``.  Each delay's phase row is reduced on its own with ``np.sum``, not
-    BLAS, so a delay's value does not depend on the other delays.  ``_abc``
+    ``taus``.  The phases of a block of delays form one (delays, bins) array of
+    at most :data:`BLOCK_ENTRIES` entries (one delay per block if a row is
+    longer), and each row is reduced with ``np.add.reduce(..., axis=1)``: the
+    same pairwise sum, not BLAS, as ``np.sum`` of that row alone, so a delay's
+    value is bitwise the same in any delay array and any block.  ``_abc``
     passes only the bins a packet reaches: the terms where both packet weights
     are exactly zero are skipped."""
     sums = np.empty((2, taus.size), dtype=complex)
-    for k, tau in enumerate(taus):
-        phase = np.exp(1j * (tau * omegas))
-        sums[0, k] = np.sum(plus * phase)
-        sums[1, k] = np.sum(minus * np.conj(phase))
+    rows = max(1, BLOCK_ENTRIES // omegas.size)
+    for start in range(0, taus.size, rows):
+        block = slice(start, start + rows)
+        phase = np.exp(1j * (taus[block, None] * omegas))
+        sums[0, block] = np.add.reduce(plus * phase, axis=1)  # np.sum without its wrapper
+        sums[1, block] = np.add.reduce(minus * np.conj(phase), axis=1)
     return sums
+
+
+def _reached(w1: np.ndarray, w2: np.ndarray) -> slice:
+    """The bins from the first to the last where either packet weight is non-zero."""
+    reached = np.flatnonzero((w1 != 0) | (w2 != 0))
+    return slice(reached[0], reached[-1] + 1)
+
+
+def _abc_sums(resp: ScatteringResponse, om: np.ndarray, inputs: np.ndarray,
+              taus: np.ndarray, t0: float, normalization: str) -> tuple:
+    """A, B, C at the 1-D ``taus`` on the bins ``om``, from ``inputs``: the packet
+    spectrum entering each entry of the S matrix in its [out port, in port]
+    order, the rows (w1, w2, w1, w2).  The algebra of both normalizations,
+    shared by :func:`_abc` and :func:`scan_balanced_center`."""
+    if normalization not in ("integrated", "time_local"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    # One row per path: photon 1 reflected into detector 1 (a1), photon 2
+    # transmitted into detector 1 (b1), photon 1 transmitted into detector 2
+    # (b2), photon 2 reflected into detector 2 (a2).  In C order each row
+    # reduces as a 1-D array would.  Packet 2's delay phase cancels
+    # detector 2's on the reflected path (a2).
+    amps = np.multiply(inputs, transfer_functions(resp, om).reshape(-1, 4).T, order="C")
+    if t0 != 0.0:  # at t0 = 0 the detector phase is 1 - 0j: it could flip only a zero's sign
+        amps *= np.exp(-1j * om * t0)
+    a1, b1, b2, a2 = amps
+    if normalization == "time_local":
+        trans_1, trans_2 = _delay_sums(om, taus, b1, b2)
+        refl_1, refl_2 = np.sum(a1), np.sum(a2)
+        norm1, norm2 = np.sum(np.abs(inputs[0])**2), np.sum(np.abs(inputs[1])**2)
+        return (np.abs(refl_1 * refl_2 + trans_1 * trans_2)**2,
+                np.abs(trans_1)**2 * norm1 + np.abs(refl_1)**2 * norm2,
+                np.abs(trans_2)**2 * norm2 + np.abs(refl_2)**2 * norm1)
+    y, x = _delay_sums(om, taus, a2 * np.conj(b2), a1 * np.conj(b1))
+    p1, q1, q2, p2 = np.add.reduce(np.abs(amps)**2, axis=1)
+    return (p1 * p2 + q1 * q2 + 2.0 * np.real(x * y),
+            np.full(taus.shape, p1 + q1), np.full(taus.shape, p2 + q2))
 
 
 def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket, tau,
@@ -163,47 +211,32 @@ def _abc(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacke
     Every sum skips the bins where both packet weights are exactly zero: the
     response and all sums are evaluated only from the first to the last bin
     where either weight is non-zero, since every term outside is exactly 0.0."""
-    if normalization not in ("integrated", "time_local"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     if pkt1.port != 1 or pkt2.port != 2:
         raise ValueError("pkt1 must enter port 1 and pkt2 port 2")
     # 1-D even for a scalar tau: numpy's complex scalar arithmetic rounds differently.
     taus = np.asarray(tau, dtype=float).reshape(-1)
     w1 = spectral_weights(pkt1, grid, t0)
     w2 = spectral_weights(pkt2, grid, t0)
-    reached = np.flatnonzero((w1 != 0) | (w2 != 0))
-    keep = slice(reached[0], reached[-1] + 1)
-    om, w1, w2 = grid.omegas[keep], w1[keep], w2[keep]
-    s_matrix = transfer_functions(resp, om)
-    detect = np.exp(-1j * om * t0)
-    # Packet 2's delay phase cancels detector 2's on the reflected path (a2).
-    a1 = w1 * s_matrix[:, 0, 0] * detect    # photon 1 reflected into detector 1
-    b1 = w2 * s_matrix[:, 0, 1] * detect    # photon 2 transmitted into detector 1
-    a2 = w2 * s_matrix[:, 1, 1] * detect    # photon 2 reflected into detector 2
-    b2 = w1 * s_matrix[:, 1, 0] * detect    # photon 1 transmitted into detector 2
-    if normalization == "time_local":
-        trans_1, trans_2 = _delay_sums(om, taus, b1, b2)
-        refl_1, refl_2 = np.sum(a1), np.sum(a2)
-        norm1, norm2 = np.sum(np.abs(w1)**2), np.sum(np.abs(w2)**2)
-        abc = (np.abs(refl_1 * refl_2 + trans_1 * trans_2)**2,
-               np.abs(trans_1)**2 * norm1 + np.abs(refl_1)**2 * norm2,
-               np.abs(trans_2)**2 * norm2 + np.abs(refl_2)**2 * norm1)
-    else:
-        y, x = _delay_sums(om, taus, a2 * np.conj(b2), a1 * np.conj(b1))
-        p1, q1, p2, q2 = (np.sum(np.abs(amp)**2) for amp in (a1, b1, a2, b2))
-        abc = (p1 * p2 + q1 * q2 + 2.0 * np.real(x * y),
-               np.full(taus.shape, p1 + q1), np.full(taus.shape, p2 + q2))
+    keep = _reached(w1, w2)
+    w1, w2 = w1[keep], w2[keep]
+    abc = _abc_sums(resp, grid.omegas[keep], np.stack((w1, w2, w1, w2)), taus, t0,
+                    normalization)
     return tuple(v.reshape(np.shape(tau)) for v in abc)
+
+
+def _ratio(a, b, c) -> float:
+    """g2 = A/(B*C) at one delay; raises :class:`UndefinedCorrelationError`
+    when a detector sees zero flux."""
+    if b * c == 0.0:
+        raise UndefinedCorrelationError("zero flux at a detector; g2 undefined")
+    return float(a / (b * c))
 
 
 def _g2_at(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
            tau: float, grid: FrequencyGrid, normalization: str) -> float:
-    """g2 at one delay, for :func:`scan_balanced_center`; raises
-    :class:`UndefinedCorrelationError` when a detector sees zero flux."""
-    a, b, c = _abc(resp, pkt1, pkt2, float(tau), grid, normalization=normalization)
-    if b * c == 0.0:
-        raise UndefinedCorrelationError("zero flux at a detector; g2 undefined")
-    return float(a / (b * c))
+    """g2 at one delay; raises :class:`UndefinedCorrelationError` when a
+    detector sees zero flux."""
+    return _ratio(*_abc(resp, pkt1, pkt2, float(tau), grid, normalization=normalization))
 
 
 def hom_curve(resp: ScatteringResponse, pkt1: PhotonWavepacket, pkt2: PhotonWavepacket,
@@ -245,19 +278,44 @@ def balanced_center_frequency(resp: ScatteringResponse) -> float:
     return resp.omega0 + math.pi * (resp.g1**2 + resp.g2**2)
 
 
+def _scan_dips(resp: ScatteringResponse, sigma: float, half_width: float, n_scan: int,
+               n_bins: int, normalization: str) -> tuple[list[float], list[float]]:
+    """The candidate centres of :func:`scan_balanced_center` and g2(0) at each.
+
+    Both packets have the same spectrum, and a candidate's grid is the grid
+    centred at the closed-form point shifted by the candidate's offset, so
+    the spectrum, its reached bins and their offsets from the centre are
+    computed once, on the grid centred at the closed form; a candidate c
+    evaluates only the response at c + offsets and the sums at tau = 0.
+    Sharing the spectrum moves a dip only by round-off."""
+    if not (isinstance(n_scan, (int, np.integer)) and n_scan >= 1):
+        raise ValueError(f"n_scan must be an integer >= 1, got {n_scan!r}")
+    if not 0.0 <= half_width < math.inf:  # also rejects NaN
+        raise ValueError(f"half_width must be finite and >= 0, got {half_width!r}")
+    center0 = balanced_center_frequency(resp)
+    grid = default_grid(resp, sigma, n_bins=n_bins, center=center0)
+    weights = spectral_weights(PhotonWavepacket(center0, sigma, port=1), grid)
+    keep = _reached(weights, weights)
+    offsets, inputs = grid.omegas[keep] - center0, np.stack((weights[keep],) * 4)
+    candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan).tolist()
+    dips = []
+    for center in candidates:
+        a, b, c = _abc_sums(resp, center + offsets, inputs, np.zeros(1), 0.0, normalization)
+        dips.append(_ratio(a[0], b[0], c[0]))
+    return candidates, dips
+
+
 def scan_balanced_center(resp: ScatteringResponse, sigma: float, half_width: float,
                          n_scan: int, n_bins: int = DEFAULT_N_BINS,
                          normalization: str = "time_local") -> float:
     """Scan-based cross-check of :func:`balanced_center_frequency`: minimize g2(0)
     over a common packet center frequency in a window around the closed form.
 
-    Returns the argmin center (rad/s); agreement with the closed form is within
-    one scan step for symmetric couplings.
+    ``n_scan`` candidates (an integer >= 1) span closed form +- ``half_width``
+    (finite, >= 0; rad/s); each is evaluated on a ``default_grid`` of
+    ``n_bins`` bins centred on it.  Returns the argmin center (rad/s);
+    agreement with the closed form is within one scan step for symmetric
+    couplings.
     """
-    center0 = balanced_center_frequency(resp)
-    candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan).tolist()
-    dips = [_g2_at(resp, PhotonWavepacket(center, sigma, port=1),
-                   PhotonWavepacket(center, sigma, port=2), 0.0,
-                   default_grid(resp, sigma, n_bins=n_bins, center=center), normalization)
-            for center in candidates]
+    candidates, dips = _scan_dips(resp, sigma, half_width, n_scan, n_bins, normalization)
     return candidates[int(np.argmin(dips))]

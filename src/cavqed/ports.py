@@ -119,13 +119,14 @@ def transfer_functions(resp: ScatteringResponse, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     delta = omega - resp.omega0
     g1sq, g2sq = resp.g1**2, resp.g2**2
-    den = math.pi * (g1sq + g2sq) - 1j * delta
+    i_delta = 1j * delta
+    den = math.pi * (g1sq + g2sq) - i_delta
     t = -2.0 * math.pi * resp.g1 * resp.g2 / den
     out = np.empty(delta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = (math.pi * (g2sq - g1sq) - 1j * delta) / den
+    out[..., 0, 0] = (math.pi * (g2sq - g1sq) - i_delta) / den
     out[..., 0, 1] = t
     out[..., 1, 0] = t
-    out[..., 1, 1] = (math.pi * (g1sq - g2sq) - 1j * delta) / den
+    out[..., 1, 1] = (math.pi * (g1sq - g2sq) - i_delta) / den
     return out
 
 

@@ -3,7 +3,8 @@
 The two-photon coincidence pieces are evaluated by explicit enumeration of the
 (output port, frequency bin) mode pairs, O(n_bins^2) in memory and time,
 avoiding the algebraic factorizations of the production code; the closed-form
-sums are also kept in their plain form, over every bin of the grid.  Greedy
+sums are also kept in their plain form, over every bin of the grid, and the
+balanced-centre scan evaluates each candidate on its own grid.  Greedy
 labeling visits every (bare state, eigenvector) pair.  The dense dispersive
 reference assembles the rotating-wave Hamiltonian on the whole truncated
 product space with Kronecker products and diagonalizes it in one piece; it
@@ -27,7 +28,8 @@ from scipy.special import mathieu_a, mathieu_b
 from cavqed.cavity import eval_fields
 from cavqed.constants import E_CHARGE, EPS0, HBAR
 from cavqed.errors import ConvergenceError
-from cavqed.hom import spectral_weights
+from cavqed.hom import (PhotonWavepacket, _g2_at, balanced_center_frequency,
+                        default_grid, spectral_weights)
 from cavqed.perturbation import _result, _validate_probes
 from cavqed.ports import transfer_functions
 from cavqed.system import DressedSpectrum, _greedy_assign
@@ -112,6 +114,19 @@ def full_grid_abc(resp, pkt1, pkt2, tau, grid, t0=0.0, normalization="time_local
         abc = (p1 * p2 + q1 * q2 + 2.0 * np.real(x * y),
                np.full(taus.shape, p1 + q1), np.full(taus.shape, p2 + q2))
     return tuple(v.reshape(np.shape(tau)) for v in abc)
+
+
+def scan_dips_per_grid(resp, sigma, half_width, n_scan, n_bins, normalization):
+    """(candidates, g2(0) at each) of :func:`cavqed.scan_balanced_center`, each
+    candidate on its own ``default_grid`` centred on it, with its own pair of
+    packet spectra: one whole one-delay evaluation per candidate."""
+    center0 = balanced_center_frequency(resp)
+    candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan).tolist()
+    dips = [_g2_at(resp, PhotonWavepacket(center, sigma, port=1),
+                   PhotonWavepacket(center, sigma, port=2), 0.0,
+                   default_grid(resp, sigma, n_bins=n_bins, center=center), normalization)
+            for center in candidates]
+    return candidates, dips
 
 
 def jaynes_cummings_doublet(omega01, omega_cavity, g):

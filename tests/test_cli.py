@@ -789,6 +789,33 @@ class TestExitCodes:
         assert "error (numerical): qubit 0 (L_J = 3.095 nH)" in err
         assert "not converged at cutoff 3 " in err
 
+    @pytest.mark.parametrize("modes, message", [
+        ("[TE101, TE101]", "mode TE101 twice: at positions 0 ('TE101') and 1 ('TE101')"),
+        # two spellings of one ModeIndex
+        ("[TE101, TE102, TE_1_0_1]",
+         "mode TE101 twice: at positions 0 ('TE101') and 2 ('TE_1_0_1')"),
+    ])
+    def test_repeated_analytic_mode_refused(self, tmp_path, capsys, modes, message):
+        out = tmp_path / "d.json"
+        rc = cli.main(["dispersive", "--config", TABLE1, "--out", str(out),
+                       "--override", f"dispersive.cavity_modes={modes}"])
+        assert rc == 2
+        assert f"error (configuration): dispersive.cavity_modes lists {message}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_external_mode_refused(self, tmp_path, capsys):
+        # external labels are compared verbatim
+        out = tmp_path / "d.json"
+        rc = cli.main(["dispersive", "--config", _external_config(tmp_path),
+                       "--out", str(out),
+                       "--override", "dispersive.cavity_modes=[TE101, TE101]"])
+        assert rc == 2
+        assert ("dispersive.cavity_modes lists mode TE101 twice: at positions 0 ('TE101') "
+                "and 1 ('TE101')") in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_import_leaves_scipy_unloaded():
     """Neither scipy nor jsonschema is a runtime dependency."""
     code = ("import sys, cavqed.cli; "

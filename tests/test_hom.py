@@ -446,3 +446,60 @@ class TestUndefinedCorrelation:
                                  normalization="time_local")
         assert all(math.isnan(v) for v in curve.g2_values)
         assert curve.taus == (-1e-2, 0.0, 1e-2)
+
+
+class TestDelayBlocks:
+    @pytest.mark.parametrize("normalization", ["time_local", "integrated"])
+    @pytest.mark.parametrize("sigma2, n_bins", [
+        (SIGMA, 8192),          # balanced, time_local and scan variants
+        (0.6 * SIGMA, 8192),    # mismatched widths
+        (SIGMA, 16384),
+    ])
+    def test_curve_equals_one_delay_curves(self, response, normalization, sigma2, n_bins):
+        # The delays are summed in blocks of several rows; every delay must
+        # still be bitwise its one-delay value, the short last block included.
+        center = cq.balanced_center_frequency(response)
+        pkt1 = cq.PhotonWavepacket(center, SIGMA, port=1)
+        pkt2 = cq.PhotonWavepacket(center, sigma2, port=2)
+        grid = cq.default_grid(response, sigma2, n_bins=n_bins, center=center)
+        taus = np.linspace(-10 * SIGMA, 10 * SIGMA, 101)
+        reached = (cq.spectral_weights(pkt1, grid) != 0) | (cq.spectral_weights(pkt2, grid) != 0)
+        span = np.flatnonzero(reached)
+        rows = cq.hom.BLOCK_ENTRIES // (span[-1] + 1 - span[0])
+        assert rows > 1 and taus.size % rows != 0
+        curve = cq.hom_curve(response, pkt1, pkt2, taus, grid, normalization=normalization)
+        alone = tuple(one_delay_g2(response, pkt1, pkt2, tau, grid, normalization)
+                      for tau in taus)
+        assert np.array(curve.g2_values).tobytes() == np.array(alone).tobytes()
+
+
+class TestSharedScanSpectrum:
+    @pytest.mark.parametrize("normalization", ["time_local", "integrated"])
+    @pytest.mark.parametrize("sigma", [0.96 * SIGMA, SIGMA, 1.04 * SIGMA])
+    def test_matches_per_grid_scan(self, response, normalization, sigma):
+        # As the CLI scans: 41 candidates over +-1 FWHM on 8192-bin grids.
+        fwhm = cq.half_power_bandwidth(response)
+        candidates, dips = cq.hom._scan_dips(response, sigma, fwhm, 41, 8192, normalization)
+        expected_candidates, expected = oracles.scan_dips_per_grid(
+            response, sigma, fwhm, 41, 8192, normalization)
+        assert candidates == expected_candidates
+        npt.assert_allclose(dips, expected, rtol=1e-13, atol=0)
+        assert np.argmin(dips) == np.argmin(expected)
+        found = cq.scan_balanced_center(response, sigma, half_width=fwhm, n_scan=41,
+                                        normalization=normalization)
+        assert found == expected_candidates[int(np.argmin(expected))]
+
+    @pytest.mark.parametrize("n_scan", [0, -3, 2.5])
+    def test_scan_count_checked(self, response, n_scan):
+        with pytest.raises(ValueError, match="n_scan must be an integer >= 1"):
+            cq.scan_balanced_center(response, SIGMA, half_width=1e3, n_scan=n_scan)
+
+    @pytest.mark.parametrize("half_width", [-1.0, math.nan, math.inf])
+    def test_scan_half_width_checked(self, response, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite and >= 0"):
+            cq.scan_balanced_center(response, SIGMA, half_width=half_width, n_scan=3)
+
+    def test_single_candidate(self, response):
+        closed = cq.balanced_center_frequency(response)
+        assert cq.scan_balanced_center(response, SIGMA, half_width=0.0, n_scan=1,
+                                       n_bins=512) == closed

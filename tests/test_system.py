@@ -816,6 +816,41 @@ class TestDispersiveParams:
         with pytest.raises(ValueError, match="invalid qubit pair"):
             cq.dispersive_params(dressed, qubit_pair=[1, 1])
 
+    def test_columns_keep_their_order_of_operations(self):
+        # Energies of unlike magnitudes (1e5 to 1e11 rad/s), on which other
+        # groupings of the same sums round differently: chi, alpha and zeta
+        # must be the left-to-right sums the shipped outputs were made with,
+        # bit for bit.
+        basis = cq.SystemBasis(n_qubits=2, n_cavities=1, n_levels=3)
+        names = {"ground": (0, 0, 0), "q1": (1, 0, 0), "b1": (0, 1, 0), "c1": (0, 0, 1),
+                 "q1c1": (1, 0, 1), "q2": (2, 0, 0), "ab": (1, 1, 0)}
+        rng = np.random.default_rng(11)
+        n_points = 200
+        e = {name: rng.uniform(-1.0, 1.0, n_points) * 10.0**rng.uniform(5, 11, n_points)
+             for name in names}
+        energy = np.stack([e[name] for name in names], axis=1)
+        spectra = cq.SectorSpectra(basis, tuple(names.values()), energy,
+                                   np.ones_like(energy))
+        columns = cq.dispersive_columns(spectra, qubit=0, cavity=0, qubit_pair=(0, 1))
+        e0, q1, b1, c1, q1c1, q2, ab = (e[name].tolist() for name in names)
+        points = range(n_points)
+        required = {
+            "chi": [((q1c1[p] - q1[p]) - c1[p]) + e0[p] for p in points],
+            "alpha": [(q2[p] - 2.0 * q1[p]) + e0[p] for p in points],
+            "zeta": [((ab[p] - q1[p]) - b1[p]) + e0[p] for p in points],
+        }
+        others = {
+            "chi": [[((q1c1[p] - c1[p]) - q1[p]) + e0[p] for p in points],
+                    [(q1c1[p] - (q1[p] + c1[p])) + e0[p] for p in points]],
+            "alpha": [[(q2[p] + e0[p]) - 2.0 * q1[p] for p in points]],
+            "zeta": [[((ab[p] - b1[p]) - q1[p]) + e0[p] for p in points],
+                     [(ab[p] - (q1[p] + b1[p])) + e0[p] for p in points]],
+        }
+        for name, values in required.items():
+            assert getattr(columns, name).tolist() == values, name
+            for other in others[name]:  # the energies tell the groupings apart
+                assert other != values, name
+
 
 class TestTwoLevelEstimate:
     def test_closed_form(self):
