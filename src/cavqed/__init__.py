@@ -16,12 +16,11 @@ from .hom import (FrequencyGrid, HomCurve, PhotonWavepacket,
 from .perturbation import PerturbationResult, perturbed_frequency_tip, tip_point
 from .ports import (PortCoupling, ScatteringResponse, half_power_bandwidth,
                     port_coupling, transfer_functions, two_port_response)
-from .system import (CouplingMatrix, DispersiveColumns, DispersiveResult,
-                     DressedSpectrum, QubitInstance, SectorSpectra, SystemBasis,
-                     coupling_matrix, dipole_center_fields, dispersive_columns,
-                     dispersive_params, first_misplaced_dipole,
+from .system import (CouplingMatrix, DispersiveColumns, DressedSpectrum,
+                     QubitInstance, SectorSpectra, SystemBasis, coupling_matrix,
+                     dipole_center_fields, dispersive_columns, first_misplaced_dipole,
                      receiving_voltage_line_integral, sector_spectra,
-                     sector_spectrum, transition_couplings)
+                     transition_couplings)
 from .transmon import (DipoleSpec, TransmonParams, TransmonSpectrum,
                        default_charge_cutoff, dipole_capacitance,
                        transmon_spectra, transmon_spectrum)

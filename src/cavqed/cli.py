@@ -206,8 +206,9 @@ def cmd_hom(args) -> int:
     if center_setting == "balanced":
         center = balanced_center_frequency(resp)
     elif center_setting == "scan":
+        # +-Gamma: +-1 FWHM would reach the mirror point omega0 - Gamma
         center = scan_balanced_center(resp, min(sigma1, sigma2),
-                                      half_width=half_power_bandwidth(resp),
+                                      half_width=half_power_bandwidth(resp) / 2.0,
                                       n_scan=41, n_bins=n_bins,
                                       normalization=normalization)
     else:

@@ -26,10 +26,10 @@ every entry below the local dimension: 1 + S + S(S+1)/2 states for
 S = qubits + modes once n_levels >= 3, whatever n_levels is.
 :func:`sector_spectra` builds and diagonalizes only those blocks, for a whole
 sweep at once: each sector's blocks of all its points form one stack and go
-through one ``eigh`` call, and every point gets the values it would get alone
-(:func:`sector_spectrum` is the one-point call).  Dressed states are labeled
-by greedy maximum-overlap assignment and flagged when the winning overlap is
-not above 1/2 (hybridization too strong for the label to mean anything).
+through one ``eigh`` call, and every point gets the values it would get alone.
+Dressed states are labeled by greedy maximum-overlap assignment and flagged
+when the winning overlap is not above 1/2 (hybridization too strong for the
+label to mean anything).
 A sweep stays arrays from its inputs to its read-out:
 :func:`dipole_center_fields` samples the fields at many dipoles (centers,
 axes, lengths) in one :func:`eval_fields` call per mode,
@@ -37,9 +37,9 @@ axes, lengths) in one :func:`eval_fields` call per mode,
 rates g[p, k, q, j] in one expression, :func:`sector_spectra` returns the
 energies and overlaps [point, label] with the labels once, and
 :func:`dispersive_columns` reads omega01, alpha, chi, zeta and the flags of
-every point from the read-out labels' columns.  :class:`QubitInstance`,
-:func:`coupling_matrix`, :class:`DressedSpectrum` and
-:func:`dispersive_params` are the one-point views of the same code.
+every point from the read-out labels' columns.  :class:`QubitInstance` with
+:func:`coupling_matrix` gives one point's rates, and ``spectra[p]`` point p's
+:class:`DressedSpectrum`.
 """
 from __future__ import annotations
 
@@ -77,18 +77,12 @@ MAX_SECTOR_STATES = 8192
 class QubitInstance:
     """A dipole-antenna transmon placed in the cavity: geometry, diagonalized
     spectrum, and the two capacitances of the input divider (farads); the
-    one-point input of :func:`coupling_matrix`."""
+    one-point input of :func:`coupling_matrix`, which checks the capacitances."""
 
     dipole: DipoleSpec
     spectrum: TransmonSpectrum
     c_ant: float
     c_load: float
-
-    def __post_init__(self) -> None:
-        for name in ("c_ant", "c_load"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def divider(self) -> float:
@@ -222,9 +216,14 @@ def transition_couplings(elements, c_ant, c_load, lengths, axes, fields,
     and ``fields`` [p, k, q, xyz] the unit-normalized E vectors at their
     centers (analytic or external).  An input that is the same at every
     point may drop its point axis, e.g. ``c_ant`` [q]; with every point axis
-    dropped, the result is the one point's g[k, q, j]."""
-    c_ant = np.asarray(c_ant, dtype=float)
-    divider = c_ant / (c_ant + np.asarray(c_load, dtype=float))
+    dropped, the result is the one point's g[k, q, j].  ValueError names the
+    first capacitance that is not positive and finite."""
+    c_ant, c_load = np.asarray(c_ant, dtype=float), np.asarray(c_load, dtype=float)
+    for name, value in (("c_ant", c_ant), ("c_load", c_load)):
+        bad = value[~((value > 0.0) & (value < math.inf))]  # also catches NaN
+        if bad.size:
+            raise ValueError(f"{name} must be positive and finite, got {bad[0].item()!r}")
+    divider = c_ant / (c_ant + c_load)
     half_length = 0.5 * np.asarray(lengths, dtype=float)
     axes = np.asarray(axes, dtype=float)
     # l_hat . E: one matmul dot per (p, k, q), bitwise `E @ l_hat` of one vector
@@ -262,7 +261,7 @@ def coupling_matrix(qubits: Sequence[QubitInstance], modes: Sequence[CavityMode]
 @dataclass(frozen=True, eq=False)
 class DressedSpectrum:
     """Dressed states labeled by bare product states via greedy maximum
-    overlap, as :func:`sector_spectrum` returns them.
+    overlap: one point of a :class:`SectorSpectra`.
 
     ``levels`` maps each solved label, in basis order, to its dressed energy
     (rad/s) and the squared overlap of its eigenvector with the bare state:
@@ -311,9 +310,6 @@ class SectorSpectra:
     def __init__(self, basis: SystemBasis, labels: tuple[tuple[int, ...], ...],
                  energy: np.ndarray, overlap: np.ndarray) -> None:
         self.basis, self.labels, self.energy, self.overlap = basis, labels, energy, overlap
-
-    def __len__(self) -> int:
-        return len(self.energy)
 
     def __getitem__(self, point: int) -> DressedSpectrum:
         return DressedSpectrum(self.basis, dict(zip(
@@ -439,7 +435,7 @@ def _sector_layout(n_qubits: int, n_cavities: int, n_levels: int) -> _SectorLayo
 def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
                    basis: SystemBasis) -> SectorSpectra:
     """Dressed spectra of the excitation-number sectors N <= 2, the sectors
-    of every state :func:`dispersive_params` reads, for a stack of P points
+    of every state :func:`dispersive_columns` reads, for a stack of P points
     that share the basis and the cavity frequencies.
 
     ``levels`` [p, q, n] holds each point's transmon levels (rad/s, n below
@@ -511,46 +507,11 @@ def sector_spectra(levels, cavity_omegas: Sequence[float], couplings,
     return SectorSpectra(basis, layout.labels, energies, overlaps)
 
 
-def sector_spectrum(spectra: Sequence[TransmonSpectrum],
-                    cavity_omegas: Sequence[float],
-                    couplings: CouplingMatrix,
-                    basis: SystemBasis) -> DressedSpectrum:
-    """Dressed spectrum of the sectors N <= 2 of one point: the one-point
-    :func:`sector_spectra`.  Asking the result for a label of N > 2 raises
-    ValueError, and so do inputs that do not match the basis."""
-    m = basis.n_levels
-    for q, spec in enumerate(spectra):
-        if len(spec.levels) < m:
-            raise ValueError(f"qubit {q} provides {len(spec.levels)} levels; "
-                             f"basis needs {m}")
-    levels = np.array([spec.levels[:m] for spec in spectra], dtype=float)
-    return sector_spectra(levels.reshape(1, len(spectra), m), cavity_omegas,
-                          couplings.g[None], basis)[0]
-
-
-@dataclass(frozen=True)
-class DispersiveResult:
-    """Dressed qubit frequency, anharmonicity, cavity frequency, photon shift,
-    and (optionally) qubit-qubit shift, all in rad/s; ``flags`` lists the
-    bare labels whose dressed identification was unreliable, and
-    ``min_label_overlap`` is the smallest best overlap over the labels used
-    (a label is flagged when its overlap is at or below the threshold)."""
-
-    omega01: float
-    alpha: float | None
-    omega_cavity: float
-    chi: float
-    zeta: float | None
-    flags: tuple[tuple[int, ...], ...]
-    min_label_overlap: float
-
-
 class DispersiveColumns(NamedTuple):
-    """The :class:`DispersiveResult` of every point of a stack, as arrays over
-    the points (rad/s; ``alpha`` and ``zeta`` are None where a point's would
-    be), with the read-out labels once: ``flagged`` [point, label] marks the
-    labels at or below the threshold.  ``columns.point(p)`` is point p's
-    :class:`DispersiveResult`."""
+    """:func:`dispersive_columns` of a stack: arrays over the points (rad/s)
+    and the read-out labels once; ``flagged`` [point, label] marks the labels
+    at or below the threshold, ``min_label_overlap`` [point] is the smallest
+    overlap over them."""
 
     omega01: np.ndarray
     alpha: np.ndarray | None
@@ -561,21 +522,11 @@ class DispersiveColumns(NamedTuple):
     flagged: np.ndarray
     min_label_overlap: np.ndarray
 
-    def point(self, p: int) -> DispersiveResult:
-        return DispersiveResult(
-            omega01=float(self.omega01[p]),
-            alpha=None if self.alpha is None else float(self.alpha[p]),
-            omega_cavity=float(self.omega_cavity[p]), chi=float(self.chi[p]),
-            zeta=None if self.zeta is None else float(self.zeta[p]),
-            flags=tuple(lbl for lbl, flagged in zip(self.labels, self.flagged[p].tolist())
-                        if flagged),
-            min_label_overlap=float(self.min_label_overlap[p]))
-
 
 @functools.lru_cache(maxsize=64)
 def _readout(basis: SystemBasis, qubit: int, cavity: int,
              qubit_pair: tuple[int, int] | None) -> tuple[tuple, dict[str, int]]:
-    """``(labels, column)``: the labels :func:`dispersive_params` reads,
+    """``(labels, column)``: the labels :func:`dispersive_columns` reads,
     distinct and in reading order, and the index in ``labels`` of each named
     one: ground, q1, c1, q1c1, then q2 from three levels on, then a1, b1, ab
     for a qubit pair (a, b).  ValueError for an index outside the basis.
@@ -603,9 +554,11 @@ def _readout(basis: SystemBasis, qubit: int, cavity: int,
     return labels, {name: labels.index(lbl) for name, lbl in named.items()}
 
 
-def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
-                      qubit_pair: Sequence[int] | None = None) -> DispersiveResult:
-    """Dispersive parameters from ground-referenced dressed energies:
+def dispersive_columns(spectra: SectorSpectra, qubit: int = 0, cavity: int = 0,
+                       qubit_pair: Sequence[int] | None = None) -> DispersiveColumns:
+    """Dispersive parameters of every point of ``spectra`` from its
+    ground-referenced dressed energies, one operation per quantity over the
+    columns of the read-out labels:
 
         omega01 = E(q=1) - E(0)
         alpha   = E(q=2) - 2*E(q=1) + E(0)          (None when n_levels < 3)
@@ -613,24 +566,8 @@ def dispersive_params(dressed: DressedSpectrum, qubit: int = 0, cavity: int = 0,
         chi     = E(q=1,c=1) - E(q=1) - E(c=1) + E(0)
         zeta    = E(qa=1,qb=1) - E(qa=1) - E(qb=1) + E(0)   (when a pair is given)
 
-    each evaluated left to right.  Values are returned whatever the labels'
-    overlaps; the flagged labels are reported in ``flags`` and the smallest
-    overlap in ``min_label_overlap``.  The one-point :func:`dispersive_columns`.
-    """
-    labels, _ = _readout(dressed.basis, qubit, cavity,
-                         None if qubit_pair is None else tuple(qubit_pair))
-    spectra = SectorSpectra(dressed.basis, labels,
-                            np.array([[dressed.energy(lbl) for lbl in labels]]),
-                            np.array([[dressed.overlap(lbl) for lbl in labels]]))
-    return dispersive_columns(spectra, qubit, cavity, qubit_pair).point(0)
-
-
-def dispersive_columns(spectra: SectorSpectra, qubit: int = 0, cavity: int = 0,
-                       qubit_pair: Sequence[int] | None = None) -> DispersiveColumns:
-    """:func:`dispersive_params` of every point of ``spectra`` at once, one
-    operation per quantity over the columns of the read-out labels;
-    ``dispersive_columns(spectra).point(p)`` equals
-    ``dispersive_params(spectra[p])``."""
+    each evaluated left to right, so a point's values do not depend on the
+    stack; they are returned whatever the labels' overlaps."""
     labels, column = _readout(spectra.basis, qubit, cavity,
                               None if qubit_pair is None else tuple(qubit_pair))
     position = {label: i for i, label in enumerate(spectra.labels)}

@@ -28,11 +28,11 @@ from scipy.special import mathieu_a, mathieu_b
 from cavqed.cavity import eval_fields
 from cavqed.constants import E_CHARGE, EPS0, HBAR
 from cavqed.errors import ConvergenceError
-from cavqed.hom import (PhotonWavepacket, _g2_at, balanced_center_frequency,
+from cavqed.hom import (PhotonWavepacket, _abc, _ratio, balanced_center_frequency,
                         default_grid, spectral_weights)
 from cavqed.perturbation import _result, _validate_probes
 from cavqed.ports import transfer_functions
-from cavqed.system import DressedSpectrum, _greedy_assign
+from cavqed.system import SectorSpectra, _greedy_assign
 from cavqed.transmon import CONVERGENCE_RTOL, default_charge_cutoff
 
 #: Default (n_rho, n_phi, n_axial) midpoint resolution of
@@ -122,9 +122,10 @@ def scan_dips_per_grid(resp, sigma, half_width, n_scan, n_bins, normalization):
     packet spectra: one whole one-delay evaluation per candidate."""
     center0 = balanced_center_frequency(resp)
     candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan).tolist()
-    dips = [_g2_at(resp, PhotonWavepacket(center, sigma, port=1),
-                   PhotonWavepacket(center, sigma, port=2), 0.0,
-                   default_grid(resp, sigma, n_bins=n_bins, center=center), normalization)
+    dips = [_ratio(*_abc(resp, PhotonWavepacket(center, sigma, port=1),
+                         PhotonWavepacket(center, sigma, port=2), 0.0,
+                         default_grid(resp, sigma, n_bins=n_bins, center=center),
+                         normalization=normalization))
             for center in candidates]
     return candidates, dips
 
@@ -178,17 +179,16 @@ def assemble_hamiltonian(spectra, cavity_omegas, couplings, basis):
 def dressed_spectrum(hamiltonian, basis):
     """Diagonalize the whole product space and label every basis state by
     greedy maximum overlap (``cavqed.system._greedy_assign``, which
-    :func:`greedy_assign` checks)."""
+    :func:`greedy_assign` checks), as a one-point ``SectorSpectra`` over
+    every product label, read by ``dispersive_columns`` like the sector solver's."""
     dim = basis.n_levels**basis.n_sites
     if hamiltonian.shape != (dim, dim):
         raise ValueError("hamiltonian dimension does not match the basis")
     energies, vectors = np.linalg.eigh(hamiltonian)
     overlap2 = np.abs(vectors)**2  # [bare index, eigen index]
     bare_assigned = _greedy_assign(overlap2)
-    return DressedSpectrum(basis, dict(zip(
-        product_labels(basis),
-        zip(energies[bare_assigned].tolist(),
-            overlap2[np.arange(dim), bare_assigned].tolist()))))
+    return SectorSpectra(basis, tuple(product_labels(basis)), energies[None, bare_assigned],
+                         overlap2[np.arange(dim), bare_assigned][None])
 
 
 def greedy_assign(overlap2):

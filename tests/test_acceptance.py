@@ -64,7 +64,7 @@ def build_reference_stack(m_levels):
     basis = cq.SystemBasis(n_qubits=1, n_cavities=2, n_levels=m_levels)
     h = oracles.assemble_hamiltonian([spectrum], [m.omega for m in modes],
                                      couplings, basis)
-    return cq.dispersive_params(oracles.dressed_spectrum(h, basis))
+    return cq.dispersive_columns(oracles.dressed_spectrum(h, basis))
 
 
 def test_criterion_01_mode_frequencies():
@@ -100,8 +100,8 @@ def test_criterion_03_single_qubit_parameters():
     start = time.perf_counter()
     result = build_reference_stack(m_levels=6)
     elapsed = time.perf_counter() - start
-    f01 = result.omega01 / TWO_PI
-    alpha = result.alpha / TWO_PI
+    f01 = result.omega01[0] / TWO_PI
+    alpha = result.alpha[0] / TWO_PI
     ok = (abs(f01 / 6.39e9 - 1) < 0.01 and abs(alpha / -371.72e6 - 1) < 0.02
           and elapsed < 5.0)
     report(3, ok, f"omega01/2pi {f01 / 1e9:.6f} GHz (target 6.39 +-1%), "
@@ -134,8 +134,8 @@ def test_criterion_05_truncation_convergence():
     small = build_reference_stack(m_levels=3)
     large = build_reference_stack(m_levels=15)
     elapsed = time.perf_counter() - start
-    d_f01 = abs(small.omega01 / large.omega01 - 1)
-    d_alpha = abs(small.alpha / large.alpha - 1)
+    d_f01 = abs(small.omega01[0] / large.omega01[0] - 1)
+    d_alpha = abs(small.alpha[0] / large.alpha[0] - 1)
     ok = d_f01 < 1e-3 and d_alpha < 1e-3 and elapsed < 300.0
     report(5, ok, f"M=3 vs M=15: d(omega01) {d_f01:.2e}, d(alpha) {d_alpha:.2e} "
                   f"(both < 1e-3), {elapsed:.1f} s")
@@ -235,7 +235,7 @@ def test_criterion_09_dressed_doublet():
                                    charge_elements=(-1j,))
         h = oracles.assemble_hamiltonian([spec], [omega_cavity],
                                          cq.CouplingMatrix(g=np.array([[[g]]])), basis)
-        dressed = oracles.dressed_spectrum(h, basis)
+        dressed = oracles.dressed_spectrum(h, basis)[0]
         lower, upper = oracles.jaynes_cummings_doublet(omega01, omega_cavity, g)
         e0 = dressed.energy((0, 0))
         e_qubit = dressed.energy((1, 0)) - e0
@@ -316,22 +316,22 @@ def zz_solves(tmp_path_factory):
     """Criterion 10's sweep and its two bisected zeta gaps, run through the
     CLI with its stacked solver recorded: ``(args, spectra)`` of the sweep's
     one solve, and per gap its L_J (nH), its payload entry and the
-    ``(args, spectrum)`` of its one-point solve."""
+    ``(args, spectra)`` of its one-point solve."""
     tmp_path = tmp_path_factory.mktemp("zz")
     out = tmp_path / "zz.json"
     solves = []
 
     def captured(*args):
         spectra = cq.sector_spectra(*args)
-        solves.extend((args, dressed) for dressed in spectra)
+        solves.append((args, spectra))
         return spectra
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "sector_spectra", captured)
         assert cli.main(["dispersive", "--config", ZZ_SWEEP, "--out", str(out)]) == 0
         points = json.loads(out.read_text())["points"]
-        sweep = (solves[0][0], [dressed for _, dressed in solves])
-        assert len(sweep[1]) == len(points) == 51
+        [sweep] = solves
+        assert len(sweep[1].energy) == len(points) == 51
         gaps = []
         for a, b in zip(points, points[1:]):
             if a["zeta_MHz"] * b["zeta_MHz"] < 0:
@@ -341,6 +341,11 @@ def zz_solves(tmp_path_factory):
                 gaps.append((l_nh, point, solves[-1]))
     assert len(gaps) == 2
     return sweep, gaps
+
+
+def flags(columns):
+    """The flagged read-out labels of the one point of ``columns``."""
+    return [lbl for lbl, flagged in zip(columns.labels, columns.flagged[0]) if flagged]
 
 
 def test_gap_flags_match_dense_oracle(zz_solves):
@@ -356,18 +361,18 @@ def test_gap_flags_match_dense_oracle(zz_solves):
         dense = oracles.dressed_spectrum(
             oracles.assemble_hamiltonian(spectra, omegas, cq.CouplingMatrix(g=g[0]), basis),
             basis)
-        assert len(dense.levels) == 3**5
-        from_sector = cq.dispersive_params(sector, **readout)
-        from_dense = cq.dispersive_params(dense, **readout)
-        assert [list(lbl) for lbl in from_sector.flags] == point["flags"]
-        assert from_dense.flags == from_sector.flags
-        assert (1, 1, 0, 0, 0) in from_dense.flags
-        npt.assert_allclose(dense.overlap((1, 1, 0, 0, 0)), 0.4998, atol=1e-4)
-        scale = max(abs(energy) for energy, _ in dense.levels.values())
+        assert len(dense.labels) == 3**5
+        from_sector = cq.dispersive_columns(sector, **readout)
+        from_dense = cq.dispersive_columns(dense, **readout)
+        assert [list(lbl) for lbl in flags(from_sector)] == point["flags"]
+        assert flags(from_dense) == flags(from_sector)
+        assert (1, 1, 0, 0, 0) in flags(from_dense)
+        npt.assert_allclose(dense[0].overlap((1, 1, 0, 0, 0)), 0.4998, atol=1e-4)
+        scale = max(abs(energy) for energy, _ in dense[0].levels.values())
         labels, _ = _readout(basis, readout["qubit"], readout["cavity"],
                              tuple(readout["qubit_pair"]))
         for label in labels:
-            assert abs(dense.energy(label) - sector.energy(label)) <= 1e-12 * scale
+            assert abs(dense[0].energy(label) - sector[0].energy(label)) <= 1e-12 * scale
 
 
 def test_gap_points_independent_of_stack(zz_solves):
@@ -379,9 +384,9 @@ def test_gap_points_independent_of_stack(zz_solves):
     stack_levels = np.concatenate([gaps[0][2][0][0], levels, gaps[1][2][0][0]])
     stack_g = np.concatenate([gaps[0][2][0][2], g, gaps[1][2][0][2]])
     stacked = cq.sector_spectra(stack_levels, omegas, stack_g, basis)
-    alone = [gaps[0][2][1], *sampled, gaps[1][2][1]]
-    assert len(stacked) == len(alone) == 53
+    alone = [*gaps[0][2][1], *sampled, *gaps[1][2][1]]
+    assert len(stacked.energy) == len(alone) == 53
     for solved, expected in zip(stacked, alone):
         assert solved.levels == expected.levels
-    for _, _, (_, dressed) in gaps:
-        assert dressed.overlap((1, 1, 0, 0, 0)) < 0.5
+    for _, _, (_, spectra) in gaps:
+        assert spectra[0].overlap((1, 1, 0, 0, 0)) < 0.5

@@ -6,12 +6,14 @@ import numpy.testing as npt
 import pytest
 
 import cavqed as cq
+import cavqed.cli as cli
 from cavqed import config
 from cavqed.errors import (DegenerateResponseError, GridCoverageWarning,
                            UndefinedCorrelationError)
-from cavqed.hom import _abc, _g2_at
+from cavqed.hom import _abc, _ratio
 
 import oracles
+from test_cli import HOM
 
 SIGMA = 2.5e-6
 # Frozen correlations for matched 2.5 us packets at the balanced center
@@ -433,7 +435,7 @@ class TestUndefinedCorrelation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridCoverageWarning)
             with pytest.raises(UndefinedCorrelationError):
-                _g2_at(resp, pkt1, pkt2, 0.0, grid, "time_local")
+                _ratio(*_abc(resp, pkt1, pkt2, 0.0, grid, normalization="time_local"))
 
     def test_curve_marks_missing_points(self):
         case = _exact_zero_flux_case()
@@ -477,7 +479,8 @@ class TestSharedScanSpectrum:
     @pytest.mark.parametrize("normalization", ["time_local", "integrated"])
     @pytest.mark.parametrize("sigma", [0.96 * SIGMA, SIGMA, 1.04 * SIGMA])
     def test_matches_per_grid_scan(self, response, normalization, sigma):
-        # As the CLI scans: 41 candidates over +-1 FWHM on 8192-bin grids.
+        # 41 candidates on 8192-bin grids as the CLI scans them, over +-1 FWHM,
+        # twice the CLI's +-Gamma window.
         fwhm = cq.half_power_bandwidth(response)
         candidates, dips = cq.hom._scan_dips(response, sigma, fwhm, 41, 8192, normalization)
         expected_candidates, expected = oracles.scan_dips_per_grid(
@@ -488,6 +491,28 @@ class TestSharedScanSpectrum:
         found = cq.scan_balanced_center(response, sigma, half_width=fwhm, n_scan=41,
                                         normalization=normalization)
         assert found == expected_candidates[int(np.argmin(expected))]
+
+    @pytest.mark.parametrize("normalization", ["time_local", "integrated"])
+    def test_cli_window_leaves_the_mirror_point_out(self, normalization, monkeypatch,
+                                                     tmp_path):
+        # +-1 FWHM would reach the mirror point omega0 - Gamma, where |R| = |T|
+        # too, and the best dip would lead the next by only ~5e-12 (integrated)
+        # and ~6e-10 (time_local) relative: round-off could pick the centre.
+        scans, scan_dips = [], cq.hom._scan_dips
+
+        def recorded(*args):
+            scans.append((args, scan_dips(*args)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(cq.hom, "_scan_dips", recorded)
+        assert cli.main(["hom", "--config", HOM, "--out", str(tmp_path / "h.csv"),
+                         "--override", "hom.center=scan",
+                         "--override", f"hom.normalization={normalization}"]) == 0
+        [((resp, _, half_width, _, _, _), (candidates, dips))] = scans
+        assert half_width == cq.half_power_bandwidth(resp) / 2.0
+        best, second = sorted(dips)[:2]
+        assert (second - best) / best > 1e-3
+        assert candidates[int(np.argmin(dips))] == cq.balanced_center_frequency(resp)
 
     @pytest.mark.parametrize("n_scan", [0, -3, 2.5])
     def test_scan_count_checked(self, response, n_scan):
