@@ -2,9 +2,8 @@
 two-port scattering with two-photon interference, and dispersive parameters
 of dipole-antenna transmons coupled to the cavity."""
 
-from .cavity import (CavityGeometry, CavityMode, CoaxProbe, ModeIndex,
-                     coax_tem_profile, eval_fields, make_mode, mode_list,
-                     resonant_frequency, wavenumbers)
+from .cavity import (CavityGeometry, CavityMode, CoaxProbe, ModeIndex, eval_fields,
+                     make_mode, mode_list, resonant_frequency, wavenumbers)
 from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
                      ExternalModesError, FieldVariationWarning,
                      GridCoverageWarning, OutOfValidityError,

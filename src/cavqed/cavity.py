@@ -1,4 +1,4 @@
-"""Analytic eigenmodes of a rectangular PEC cavity and the coaxial-port TEM profile.
+"""Analytic eigenmodes of a rectangular PEC cavity and the coaxial probes on its walls.
 
 Conventions
 -----------
@@ -23,15 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C0, EPS0
+from .constants import C0
 
 #: Walls through which a coax probe may enter: ``bottom`` is y = 0, ``top`` is y = b.
 PROBE_WALLS = ("bottom", "top")
-
-#: Cross-section normalization of the delta-normalized coax TEM field:
-#: integral over the annulus of eps0*|E_T|^2 dS = 2*eps0/(pi*c0), independent
-#: of the annulus radii (closed-form integral of 1/rho^2 against rho drho dphi).
-COAX_CROSS_SECTION_NORM = 2.0 * EPS0 / (math.pi * C0)
 
 
 @dataclass(frozen=True)
@@ -249,28 +244,3 @@ def mode_list(geom: CavityGeometry, f_max: float) -> list[CavityMode]:
     modes.sort(key=lambda mode: (mode.omega, mode.index.family, mode.index.m,
                                  mode.index.n, mode.index.p))
     return modes
-
-
-def coax_tem_profile(probe: CoaxProbe, rho, phi) -> np.ndarray:
-    """Delta-normalized coax TEM transverse E field at (rho, phi) on the wall plane.
-
-    The semi-infinite line supports standing waves ``E(omega, rho, z) =
-    sqrt(2/(pi*c0)) * e_T(rho) * cos(omega*z/c0)`` with ``e_T`` the unit
-    transverse profile ``rho_hat / (rho*sqrt(2*pi*ln(r_outer/r_inner)))``;
-    this makes ``integral(eps_r E(w).E(w') dV) = delta(w - w')``.  This
-    function returns the transverse factor at the wall plane (z_coax = 0,
-    where the cosine is 1), as a 3-vector in cavity coordinates with the
-    radial direction in the x-z wall plane: ``rho_hat = (cos phi, 0, sin phi)``.
-    Units s^(1/2) m^(-3/2); broadcastable over ``rho``/``phi`` arrays.
-    """
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(rho < probe.r_inner) or np.any(rho > probe.r_outer):
-        raise ValueError("rho outside the coax annulus")
-    scale = math.sqrt(2.0 / (math.pi * C0)) / math.sqrt(
-        2.0 * math.pi * math.log(probe.r_outer / probe.r_inner))
-    mag = scale / rho
-    out = np.zeros(np.broadcast(rho, phi).shape + (3,), dtype=float)
-    out[..., 0] = mag * np.cos(phi)
-    out[..., 2] = mag * np.sin(phi)
-    return out

@@ -10,7 +10,8 @@ Column layout: ``mode_label, f_GHz, Ex1, Ey1, Ez1, [Ex2, Ey2, Ez2, ...],
 g_port1, g_port2``.  For a single qubit site the bare aliases ``Ex, Ey, Ez``
 are accepted on read; ``#``-prefixed comment lines are skipped; unknown
 columns are ignored with a warning.  Writing then reading a record list
-reproduces it exactly (17-significant-digit round-trip).
+reproduces it exactly (17-significant-digit round-trip); a record refuses a
+label that the reader would strip or skip as a comment.
 """
 from __future__ import annotations
 
@@ -40,8 +41,11 @@ class ExternalModeRecord:
     def __post_init__(self) -> None:
         if not self.mode_label:
             raise ValueError("mode_label must be non-empty")
-        if self.f_GHz <= 0:
-            raise ValueError("f_GHz must be positive")
+        if self.mode_label != self.mode_label.strip() or self.mode_label.startswith("#"):
+            raise ValueError(f"mode_label {self.mode_label!r} would not survive the CSV round "
+                             "trip: it starts with '#' or has leading or trailing whitespace")
+        if not 0 < self.f_GHz < math.inf:  # also rejects NaN
+            raise ValueError(f"f_GHz must be positive and finite, got {self.f_GHz!r}")
         if len(self.e_fields) < 1:
             raise ValueError("need field values for at least one qubit site")
         if any(len(vec) != 3 for vec in self.e_fields):

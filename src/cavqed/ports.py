@@ -1,15 +1,21 @@
-"""Port-coupling overlap integrals and the two-port input-output transfer functions.
+"""Port couplings in closed form and the two-port input-output transfer functions.
 
-The coupling rate between a cavity mode and the TEM continuum of a coax probe
-is the wall-annulus overlap integral
+The coupling rate between a cavity mode and the TEM continuum of a coax probe,
+in (rad/s)^(1/2), is the overlap over the wall annulus r_i <= rho <= r_o,
 
-    g = (c0/2) * sqrt(omega_p/omega_k) * integral( H_k . (E_TEM x n_hat) dS )
+    g = (c0/2) * integral( H_k . (E_TEM x n_hat) dS ),   n_hat = n_into * y_hat,
 
-evaluated with the unperturbed cavity H field and the delta-normalized TEM
-profile, with the port frequency at the cavity resonance (omega_p = omega_k,
-the Markov evaluation point, so the square-root factor is 1).  ``n_hat`` is
-the unit normal pointing into the cavity, which is why the probe's wall side
-determines the sign of g.  Units: (rad/s)^(1/2).
+with the unperturbed H field at the Markov point omega_p = omega_k; the inward
+normal makes the sign of g follow the probe's wall side.  By Stokes' theorem it
+has a closed form.  The delta-normalized TEM field on the wall is s*rho_hat/rho,
+s = 1/(pi*sqrt(c0*ln(r_o/r_i))), so the rho of dS cancels and each circle gives
+its circulation of H: the displacement flux (omega_k*eps_r/c0) * integral(E_y dA)
+through its disk.  On the wall E_y is a sum of plane waves of one transverse
+wavenumber kappa = sqrt(kx^2 + kz^2), so that flux is 2*pi*rho*J1(kappa*rho)/kappa
+times E_y on the axis, and the rho integral of J1 leaves
+
+    g = -pi * n_into * s * omega_k * eps_r * E_y(x0, y_wall, z0)
+        * (J0(kappa*r_i) - J0(kappa*r_o)) / kappa^2.
 
 The single-mode two-port response is the Lorentzian scattering matrix
 
@@ -25,14 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityGeometry, CavityMode, CoaxProbe, coax_tem_profile, eval_fields
+from .cavity import (CavityGeometry, CavityMode, CoaxProbe, eval_fields, resonant_frequency,
+                     wavenumbers)
 from .constants import C0
 from .errors import DegenerateResponseError
 from .perturbation import perturbed_frequency_tip
-
-#: Default trapezoidal node counts for the annulus overlap integral.
-DEFAULT_N_RHO = 64
-DEFAULT_N_PHI = 64
 
 
 @dataclass(frozen=True)
@@ -59,42 +62,29 @@ class ScatteringResponse:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
-def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe,
-                  n_rho: int = DEFAULT_N_RHO, n_phi: int = DEFAULT_N_PHI) -> PortCoupling:
-    """Annulus overlap integral by the trapezoidal rule in rho and phi.
-
-    ``n_rho``/``n_phi`` are node counts (>= 2 and >= 4 respectively).  The
-    annulus must lie inside the cavity wall footprint.
-    """
-    if n_rho < 2 or n_phi < 4:
-        raise ValueError("require n_rho >= 2 and n_phi >= 4")
+def port_coupling(mode: CavityMode, geom: CavityGeometry, probe: CoaxProbe) -> PortCoupling:
+    """The annulus overlap integral in closed form (module docstring); the
+    annulus must lie inside the cavity wall footprint."""
     probe.check_footprint(geom)
-
-    rhos = np.linspace(probe.r_inner, probe.r_outer, n_rho)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
-    w_rho = np.full(n_rho, rhos[1] - rhos[0])
-    w_rho[0] *= 0.5
-    w_rho[-1] *= 0.5
-    w_phi = np.full(n_phi, phis[1] - phis[0])
-    w_phi[0] *= 0.5
-    w_phi[-1] *= 0.5
-
-    rho_g, phi_g = np.meshgrid(rhos, phis, indexing="ij")
-    y_wall = 0.0 if probe.wall == "bottom" else geom.b
-    n_into = 1.0 if probe.wall == "bottom" else -1.0  # inward normal = n_into * y_hat
-    pts = np.stack([probe.x0 + rho_g * np.cos(phi_g),
-                    np.full_like(rho_g, y_wall),
-                    probe.z0 + rho_g * np.sin(phi_g)], axis=-1)
-    _, H = eval_fields(mode, geom, pts)
-    e_tem = coax_tem_profile(probe, rho_g, phi_g)
-    # E_TEM x (n_into*y_hat): (cos, 0, sin) x (0, 1, 0) = (-sin, 0, cos) = phi_hat.
-    cross = np.empty_like(e_tem)
-    cross[..., 0] = -n_into * e_tem[..., 2]
-    cross[..., 1] = 0.0
-    cross[..., 2] = n_into * e_tem[..., 0]
-    integrand = np.sum(H * cross, axis=-1) * rho_g
-    g = 0.5 * C0 * float(w_rho @ integrand @ w_phi)
+    kx, _, kz, _, _ = wavenumbers(mode.index, geom)
+    kappa = math.hypot(kx, kz)  # > 0 for every valid mode: TE needs p >= 1, TM m >= 1
+    y_wall, n_into = (0.0, 1.0) if probe.wall == "bottom" else (geom.b, -1.0)
+    E, _ = eval_fields(mode, geom, (probe.x0, y_wall, probe.z0))
+    # the resonance eval_fields' H is built on; mode.omega may be a perturbed one
+    omega_k = resonant_frequency(mode.index, geom)
+    j0_drop = _j0_difference(kappa * probe.r_inner, kappa * probe.r_outer)
+    g = (-n_into * omega_k * geom.eps_r * float(E[1]) * j0_drop
+         / (kappa**2 * math.sqrt(C0 * math.log(probe.r_outer / probe.r_inner))))
     return PortCoupling(g=g)
+
+
+def _j0_difference(a: float, b: float) -> float:
+    """J0(a) - J0(b) for 0 <= a < b without subtracting two J0 values: (2/pi) *
+    integral_0^pi sin((a+b)/2 sin t) sin((b-a)/2 sin t) dt by the midpoint rule on
+    int(b) + 32 nodes, whose first aliased term, J_2n(b) with 2n > b + 62, is nil."""
+    n = int(b) + 32
+    sin_t = np.sin((np.arange(n) + 0.5) * (math.pi / n))
+    return 2.0 / n * float(np.sum(np.sin(0.5 * (a + b) * sin_t) * np.sin(0.5 * (b - a) * sin_t)))
 
 
 def two_port_response(mode: CavityMode, geom: CavityGeometry,
@@ -117,17 +107,19 @@ def transfer_functions(resp: ScatteringResponse, omega) -> np.ndarray:
     if resp.g1 == 0.0 and resp.g2 == 0.0:
         raise DegenerateResponseError("both port couplings are zero; response undefined at resonance")
     omega = np.asarray(omega, dtype=float)
-    delta = omega - resp.omega0
+    # Always 1-d: numpy rounds a 0-d complex division differently from its array
+    # loop, and a scalar call must equal the same entry of an array call bitwise.
+    delta = omega.reshape(-1) - resp.omega0
     g1sq, g2sq = resp.g1**2, resp.g2**2
     i_delta = 1j * delta
     den = math.pi * (g1sq + g2sq) - i_delta
     t = -2.0 * math.pi * resp.g1 * resp.g2 / den
     out = np.empty(delta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = (math.pi * (g2sq - g1sq) - i_delta) / den
-    out[..., 0, 1] = t
-    out[..., 1, 0] = t
-    out[..., 1, 1] = (math.pi * (g1sq - g2sq) - i_delta) / den
-    return out
+    out[:, 0, 0] = (math.pi * (g2sq - g1sq) - i_delta) / den
+    out[:, 0, 1] = t
+    out[:, 1, 0] = t
+    out[:, 1, 1] = (math.pi * (g1sq - g2sq) - i_delta) / den
+    return out.reshape(omega.shape + (2, 2))
 
 
 def half_power_bandwidth(resp: ScatteringResponse) -> float:

@@ -84,11 +84,6 @@ class QubitInstance:
     c_ant: float
     c_load: float
 
-    @property
-    def divider(self) -> float:
-        """Terminal-voltage fraction C_ant / (C_ant + C_L)."""
-        return self.c_ant / (self.c_ant + self.c_load)
-
 
 def first_misplaced_dipole(centers, axes, lengths, geom: CavityGeometry):
     """``(index, tip)`` of the first dipole, in C order over the leading axes

@@ -17,7 +17,8 @@ The dense, unsplit charge-basis transmon solve, with its N vs N + 4 check and
 the truncation-residual bound evaluated from its eigenpairs, is the reference
 for the library's parity-split solve.
 The probe perturbation is integrated over each pin's whole volume, against
-the library's tip sampling.
+the library's tip sampling, and the port coupling by the trapezoidal rule
+over the coax annulus against the Stokes closed form of ``port_coupling``.
 """
 import functools
 import math
@@ -26,18 +27,27 @@ import numpy as np
 from scipy.special import mathieu_a, mathieu_b
 
 from cavqed.cavity import eval_fields
-from cavqed.constants import E_CHARGE, EPS0, HBAR
+from cavqed.constants import C0, E_CHARGE, EPS0, HBAR
 from cavqed.errors import ConvergenceError
 from cavqed.hom import (PhotonWavepacket, _abc, _ratio, balanced_center_frequency,
                         default_grid, spectral_weights)
 from cavqed.perturbation import _result, _validate_probes
-from cavqed.ports import transfer_functions
+from cavqed.ports import PortCoupling, transfer_functions
 from cavqed.system import SectorSpectra, _greedy_assign
 from cavqed.transmon import CONVERGENCE_RTOL, default_charge_cutoff
 
 #: Default (n_rho, n_phi, n_axial) midpoint resolution of
 #: :func:`perturbed_frequency_quadrature`.
 DEFAULT_QUADRATURE_RESOLUTION = (8, 16, 32)
+
+#: Default trapezoidal node counts of :func:`port_coupling_quadrature`.
+DEFAULT_N_RHO = 64
+DEFAULT_N_PHI = 64
+
+#: Cross-section normalization of the delta-normalized coax TEM field:
+#: integral over the annulus of eps0*|E_T|^2 dS = 2*eps0/(pi*c0), independent
+#: of the annulus radii (closed-form integral of 1/rho^2 against rho drho dphi).
+COAX_CROSS_SECTION_NORM = 2.0 * EPS0 / (math.pi * C0)
 
 
 def brute_force_abc(resp, w1, w2, omegas, tau, t0=0.0):
@@ -385,3 +395,67 @@ def perturbed_frequency_quadrature(mode, geom, probes,
         density = np.sum(H * H, axis=-1) - geom.eps_r * np.sum(E * E, axis=-1)
         numerator += float(np.sum(density * rho_g) * d_rho * d_phi * d_y)
     return _result(mode, numerator)
+
+
+def coax_tem_profile(probe, rho, phi):
+    """Delta-normalized coax TEM transverse E field at (rho, phi) on the wall plane.
+
+    The semi-infinite line supports standing waves ``E(omega, rho, z) =
+    sqrt(2/(pi*c0)) * e_T(rho) * cos(omega*z/c0)`` with ``e_T`` the unit
+    transverse profile ``rho_hat / (rho*sqrt(2*pi*ln(r_outer/r_inner)))``;
+    this makes ``integral(eps_r E(w).E(w') dV) = delta(w - w')``.  This
+    function returns the transverse factor at the wall plane (z_coax = 0,
+    where the cosine is 1), as a 3-vector in cavity coordinates with the
+    radial direction in the x-z wall plane: ``rho_hat = (cos phi, 0, sin phi)``.
+    Units s^(1/2) m^(-3/2); broadcastable over ``rho``/``phi`` arrays.
+    """
+    rho = np.asarray(rho, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if np.any(rho < probe.r_inner) or np.any(rho > probe.r_outer):
+        raise ValueError("rho outside the coax annulus")
+    scale = math.sqrt(2.0 / (math.pi * C0)) / math.sqrt(
+        2.0 * math.pi * math.log(probe.r_outer / probe.r_inner))
+    mag = scale / rho
+    out = np.zeros(np.broadcast(rho, phi).shape + (3,), dtype=float)
+    out[..., 0] = mag * np.cos(phi)
+    out[..., 2] = mag * np.sin(phi)
+    return out
+
+
+def port_coupling_quadrature(mode, geom, probe, n_rho=DEFAULT_N_RHO, n_phi=DEFAULT_N_PHI):
+    """Annulus overlap integral ``(c0/2) * integral(H . (E_TEM x n_hat) dS)`` by
+    the trapezoidal rule in rho and phi: the discrete method that
+    ``cavqed.ports.port_coupling``'s closed form is checked against.
+
+    ``n_rho``/``n_phi`` are node counts (>= 2 and >= 4 respectively).  The
+    annulus must lie inside the cavity wall footprint.
+    """
+    if n_rho < 2 or n_phi < 4:
+        raise ValueError("require n_rho >= 2 and n_phi >= 4")
+    probe.check_footprint(geom)
+
+    rhos = np.linspace(probe.r_inner, probe.r_outer, n_rho)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi)
+    w_rho = np.full(n_rho, rhos[1] - rhos[0])
+    w_rho[0] *= 0.5
+    w_rho[-1] *= 0.5
+    w_phi = np.full(n_phi, phis[1] - phis[0])
+    w_phi[0] *= 0.5
+    w_phi[-1] *= 0.5
+
+    rho_g, phi_g = np.meshgrid(rhos, phis, indexing="ij")
+    y_wall = 0.0 if probe.wall == "bottom" else geom.b
+    n_into = 1.0 if probe.wall == "bottom" else -1.0  # inward normal = n_into * y_hat
+    pts = np.stack([probe.x0 + rho_g * np.cos(phi_g),
+                    np.full_like(rho_g, y_wall),
+                    probe.z0 + rho_g * np.sin(phi_g)], axis=-1)
+    _, H = eval_fields(mode, geom, pts)
+    e_tem = coax_tem_profile(probe, rho_g, phi_g)
+    # E_TEM x (n_into*y_hat): (cos, 0, sin) x (0, 1, 0) = (-sin, 0, cos) = phi_hat.
+    cross = np.empty_like(e_tem)
+    cross[..., 0] = -n_into * e_tem[..., 2]
+    cross[..., 1] = 0.0
+    cross[..., 2] = n_into * e_tem[..., 0]
+    integrand = np.sum(H * cross, axis=-1) * rho_g
+    g = 0.5 * C0 * float(w_rho @ integrand @ w_phi)
+    return PortCoupling(g=g)

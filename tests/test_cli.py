@@ -93,7 +93,7 @@ class TestHom:
                             rtol=1e-9)
         npt.assert_allclose(sidecar["center_GHz"], sidecar["balanced_center_GHz"],
                             rtol=0)
-        npt.assert_allclose(sidecar["bandwidth_fwhm_MHz"], 1.9775259999703618,
+        npt.assert_allclose(sidecar["bandwidth_fwhm_MHz"], 1.9775353562260787,
                             rtol=1e-9)
         assert sidecar["g1_sqrt_rad_per_s"] != 0.0
         npt.assert_allclose(sidecar["g2_sqrt_rad_per_s"],

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavqed as cq
 from cavqed.errors import ExternalModesError
@@ -29,10 +31,19 @@ class TestRecord:
         good = dict(mode_label="TE101", f_GHz=7.5,
                     e_fields=((0.0, 1.0, 0.0),), g_port1=1.0, g_port2=1.0)
         cq.ExternalModeRecord(**good)
-        for bad in (dict(mode_label=""), dict(f_GHz=0.0), dict(e_fields=()),
+        for bad in (dict(mode_label=""), dict(f_GHz=0.0), dict(f_GHz=float("nan")),
+                    dict(f_GHz=float("inf")), dict(e_fields=()),
                     dict(e_fields=((1.0, 2.0),))):
             with pytest.raises(ValueError):
                 cq.ExternalModeRecord(**{**good, **bad})
+
+    @pytest.mark.parametrize("label", ["#TE101", " TE101 ", "TE101\n", "\tTE101"])
+    def test_label_lost_by_the_round_trip_refused(self, label):
+        # the reader skips a '#' row as a comment and strips its labels
+        with pytest.raises(ValueError, match="would not survive the CSV round trip") as info:
+            cq.ExternalModeRecord(mode_label=label, f_GHz=7.5,
+                                  e_fields=((0.0, 1.0, 0.0),), g_port1=1.0, g_port2=1.0)
+        assert repr(label) in str(info.value)
 
     def test_n_sites(self):
         assert two_site_records()[0].n_sites == 2
@@ -53,6 +64,41 @@ class TestRoundTrip:
         header = path.read_text().splitlines()[0]
         assert "Ex1" in header and "Ez2" in header
         assert cq.read_external_modes(str(path)) == two_site_records()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_lists(draw):
+    """1-3 records on 1-3 sites with any finite floats (extremes, subnormals,
+    -0.0) and any labels; a label the round trip would lose must be refused."""
+    n_sites = draw(st.integers(1, 3))
+    records = []
+    for label in draw(st.lists(st.text(min_size=1), min_size=1, max_size=3, unique=True)):
+        fields = dict(f_GHz=draw(st.floats(min_value=0.0, exclude_min=True,
+                                           allow_infinity=False)),
+                      e_fields=tuple(draw(st.tuples(FINITE, FINITE, FINITE))
+                                     for _ in range(n_sites)),
+                      g_port1=draw(FINITE), g_port2=draw(FINITE))
+        if label != label.strip() or label.startswith("#"):
+            with pytest.raises(ValueError, match="would not survive the CSV round trip"):
+                cq.ExternalModeRecord(mode_label=label, **fields)
+            continue
+        records.append(cq.ExternalModeRecord(mode_label=label, **fields))
+    return records
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(records=record_lists())
+    def test_write_then_read_reproduces_records(self, tmp_path_factory, records):
+        if not records:
+            return
+        path = tmp_path_factory.mktemp("modes") / "modes.csv"
+        cq.write_external_modes(str(path), records)
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert repr(cq.read_external_modes(str(path))) == repr(records)
 
 
 class TestRead:

@@ -18,8 +18,8 @@ from test_cli import HOM
 SIGMA = 2.5e-6
 # Frozen correlations for matched 2.5 us packets at the balanced center
 # frequency of the symmetric two-port response (8192-bin default grid).
-DIP_TIME_LOCAL = 8.60966709290488e-06
-DIP_INTEGRATED = 0.0010395711148581954
+DIP_TIME_LOCAL = 8.609504003055441e-06
+DIP_INTEGRATED = 0.0010395612478552028
 TAIL_INTEGRATED = 0.5000005336825472
 
 

@@ -3,21 +3,64 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import j0
 
 import cavqed as cq
+from cavqed.constants import C0
 from cavqed.errors import DegenerateResponseError
+from cavqed.ports import _j0_difference
 
+import oracles
 from conftest import make_probe
 
 # Frozen reference coupling for the fundamental at z = 10 mm on the bottom
-# wall (0.05 / 2.5 mm coax, 64 x 64 quadrature), in sqrt(rad/s).
+# wall (0.05 / 2.5 mm coax, 64 x 64 oracle quadrature), in sqrt(rad/s).
 REFERENCE_G = -994.3656269125462
+# The same coupling from the closed form of port_coupling.
+CLOSED_FORM_G = -994.3679792275288
+
+# Modes of the h^2 convergence check, and probes off every symmetry line.
+CONVERGENCE_MODES = [("TE", 1, 0, 1), ("TE", 1, 0, 2), ("TE", 1, 0, 3),
+                     ("TE", 1, 1, 1), ("TM", 1, 1, 1)]
+# Every TE and TM mode of the reference cavity up to 20 GHz (m <= 2, n <= 1, p <= 5).
+DRAWN_MODES = [mode.index for mode in cq.mode_list(
+    cq.CavityGeometry(a=22.86e-3, b=10.16e-3, d=40e-3), 20e9)]
+
+
+def coupling_scale(mode, geom, probe):
+    """(c0/2) * max|H| * integral(|E_TEM| dS), a bound on |g|: the TEM field
+    s/rho, s = 1/(pi*sqrt(c0*ln(r_o/r_i))), integrates to 2*pi*s*(r_o - r_i)."""
+    rho, phi = np.meshgrid(np.linspace(probe.r_inner, probe.r_outer, 9),
+                           np.linspace(0.0, 2 * math.pi, 16), indexing="ij")
+    y_wall = 0.0 if probe.wall == "bottom" else geom.b
+    points = np.stack([probe.x0 + rho * np.cos(phi), np.full_like(rho, y_wall),
+                       probe.z0 + rho * np.sin(phi)], axis=-1)
+    h_max = np.linalg.norm(cq.eval_fields(mode, geom, points)[1], axis=-1).max()
+    log_ratio = math.log(probe.r_outer / probe.r_inner)
+    return C0 * h_max * (probe.r_outer - probe.r_inner) / math.sqrt(C0 * log_ratio)
+
+
+def convergence_cases():
+    for eps_r in (1.0, 2.2):
+        geom = cq.CavityGeometry(a=22.86e-3, b=10.16e-3, d=40e-3, eps_r=eps_r)
+        for index in CONVERGENCE_MODES:
+            mode = cq.make_mode(cq.ModeIndex(*index), geom)
+            for wall, z0 in (("bottom", 13e-3), ("top", 30e-3)):
+                probe = cq.CoaxProbe(x0=0.4 * geom.a, z0=z0, r_inner=0.05e-3,
+                                     r_outer=2.5e-3, h=0.75e-3, wall=wall)
+                yield f"{mode.index.label}-{wall}-eps{eps_r}", mode, geom, probe
 
 
 class TestPortCoupling:
     def test_reference_value(self, geom, te101):
-        pc = cq.port_coupling(te101, geom, make_probe(geom, 10e-3, "bottom"))
+        pc = oracles.port_coupling_quadrature(te101, geom, make_probe(geom, 10e-3, "bottom"))
         npt.assert_allclose(pc.g, REFERENCE_G, rtol=1e-9)
+
+    def test_closed_form_reference_value(self, geom, te101):
+        pc = cq.port_coupling(te101, geom, make_probe(geom, 10e-3, "bottom"))
+        npt.assert_allclose(pc.g, CLOSED_FORM_G, rtol=1e-12)
 
     def test_opposite_walls_antisymmetric(self, geom, te101):
         g_bottom = cq.port_coupling(te101, geom, make_probe(geom, 10e-3, "bottom")).g
@@ -41,16 +84,50 @@ class TestPortCoupling:
 
     def test_quadrature_refinement(self, geom, te101):
         probe = make_probe(geom, 10e-3)
-        g64 = cq.port_coupling(te101, geom, probe, 64, 64).g
-        g128 = cq.port_coupling(te101, geom, probe, 128, 128).g
+        g64 = oracles.port_coupling_quadrature(te101, geom, probe, 64, 64).g
+        g128 = oracles.port_coupling_quadrature(te101, geom, probe, 128, 128).g
         assert abs(g128 - g64) / abs(g64) < 1e-5
 
     def test_resolution_validation(self, geom, te101):
         probe = make_probe(geom, 10e-3)
         with pytest.raises(ValueError):
-            cq.port_coupling(te101, geom, probe, n_rho=1)
+            oracles.port_coupling_quadrature(te101, geom, probe, n_rho=1)
         with pytest.raises(ValueError):
-            cq.port_coupling(te101, geom, probe, n_phi=3)
+            oracles.port_coupling_quadrature(te101, geom, probe, n_phi=3)
+
+    @pytest.mark.parametrize("case", list(convergence_cases()), ids=lambda case: case[0])
+    def test_quadrature_converges_as_h_squared(self, case):
+        # The trapezoidal rule in rho errs by O(h^2): each doubling of the
+        # rho-nodes cuts its distance to the closed form by ((2n-1)/(n-1))^2 ~ 4.
+        _, mode, geom, probe = case
+        exact = cq.port_coupling(mode, geom, probe).g
+        errors = [abs(oracles.port_coupling_quadrature(mode, geom, probe, n_rho, 64).g - exact)
+                  / abs(exact) for n_rho in (64, 128, 256, 512)]
+        assert errors[-1] <= 1.2e-7  # 1.07e-7 for TE103, the largest
+        for n_rho, coarse, fine in zip((64, 128, 256), errors, errors[1:]):
+            npt.assert_allclose(coarse / fine, ((2 * n_rho - 1) / (n_rho - 1)) ** 2,
+                                rtol=0.02)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(10e-3, 50e-3), b=st.floats(5e-3, 20e-3), d=st.floats(10e-3, 50e-3),
+           eps_r=st.floats(1.0, 4.0), index=st.sampled_from(DRAWN_MODES),
+           wall=st.sampled_from(["bottom", "top"]), r_outer=st.floats(0.2e-3, 2.5e-3),
+           inner_ratio=st.floats(0.01, 0.9), x_frac=st.floats(0.0, 1.0),
+           z_frac=st.floats(0.0, 1.0))
+    def test_closed_form_matches_quadrature(self, a, b, d, eps_r, index, wall, r_outer,
+                                            inner_ratio, x_frac, z_frac):
+        geom = cq.CavityGeometry(a=a, b=b, d=d, eps_r=eps_r)
+        mode = cq.make_mode(index, geom)
+        probe = cq.CoaxProbe(x0=min(r_outer + x_frac * (a - 2 * r_outer), a - r_outer),
+                             z0=min(r_outer + z_frac * (d - 2 * r_outer), d - r_outer),
+                             r_inner=inner_ratio * r_outer, r_outer=r_outer, h=0.0,
+                             wall=wall)
+        # Richardson's extrapolation of the O(h^2) rule, at h and h/2
+        coarse, fine = (oracles.port_coupling_quadrature(mode, geom, probe, n_rho, 128).g
+                        for n_rho in (129, 257))
+        extrapolated = (4.0 * fine - coarse) / 3.0
+        assert abs(cq.port_coupling(mode, geom, probe).g - extrapolated) <= 1e-9 * coupling_scale(
+            mode, geom, probe)
 
     def test_annulus_must_fit_wall(self, geom, te101):
         probe = cq.CoaxProbe(x0=1e-3, z0=10e-3, r_inner=0.05e-3,
@@ -65,6 +142,30 @@ class TestPortCoupling:
                      lambda: cq.perturbed_frequency_tip(te101, geom, [probe])):
             with pytest.raises(ValueError, match="probe footprint extends outside"):
                 call()
+
+
+class TestJ0Difference:
+    """J0(a) - J0(b), 0 <= a < b = kappa*r_o, as port_coupling evaluates it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.floats(0.1, 300.0), ratio=st.floats(0.0, 1.0, exclude_max=True))
+    def test_matches_scipy(self, b, ratio):
+        a = ratio * b
+        reference = j0(a) - j0(b)
+        # rounding the arguments alone moves J0 by up to b * eps
+        tolerance = 1e-12 * abs(reference) + 4 * np.finfo(float).eps * (1 + b)
+        assert abs(_j0_difference(a, b) - reference) <= tolerance
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.floats(1e-6, 0.1), ratio=st.floats(0.0, 1.0, exclude_max=True))
+    def test_matches_series_below_a_tenth(self, b, ratio):
+        # J0(x) = 1 - x^2/4 + x^4/64 - x^6/2304 + ...: the two-term series of
+        # the difference errs by less than its next term
+        a = ratio * b
+        squares = (b - a) * (b + a)  # b^2 - a^2 without cancellation
+        series = squares * (1 / 4 - (b * b + a * a) / 64)
+        next_term = squares * (b**4 + a * a * b * b + a**4) / 2304
+        assert abs(_j0_difference(a, b) - series) <= next_term + 4e-15 * series
 
 
 class TestTwoPortResponse:
@@ -118,11 +219,18 @@ class TestTransferFunctions:
         edge = abs(cq.transfer_functions(response, response.omega0 + fwhm / 2)[0, 1])**2
         npt.assert_allclose(edge, peak / 2, rtol=1e-12)
 
-    def test_scalar_matches_vector(self, response):
-        omegas = response.omega0 + np.array([-3e6, 0.0, 5e6])
+    @settings(max_examples=200, deadline=None)
+    @given(g1=st.floats(-3e3, 3e3), g2=st.one_of(st.floats(-3e3, -1e-3), st.floats(1e-3, 3e3)),
+           detunings=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=6))
+    def test_scalar_matches_vector(self, g1, g2, detunings):
+        response = cq.ScatteringResponse(omega0=2 * math.pi * 7.55e9, g1=g1, g2=g2)
+        omegas = response.omega0 + np.array(detunings)
         batch = cq.transfer_functions(response, omegas)
+        assert batch.shape == (omegas.size, 2, 2)
         for i, omega in enumerate(omegas):
-            npt.assert_array_equal(cq.transfer_functions(response, omega), batch[i])
+            assert cq.transfer_functions(response, omega).tobytes() == batch[i].tobytes()
+        grid = cq.transfer_functions(response, omegas.reshape(1, -1))
+        assert grid.tobytes() == batch.tobytes()
 
     def test_degenerate_rejected(self):
         dead = cq.ScatteringResponse(omega0=1e9, g1=0.0, g2=0.0)
