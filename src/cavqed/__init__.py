@@ -5,13 +5,11 @@ of dipole-antenna transmons coupled to the cavity."""
 from .cavity import (CavityGeometry, CavityMode, CoaxProbe, ModeIndex, eval_fields,
                      make_mode, mode_list, resonant_frequency, wavenumbers)
 from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
-                     ExternalModesError, FieldVariationWarning,
-                     GridCoverageWarning, OutOfValidityError,
+                     ExternalModesError, FieldVariationWarning, OutOfValidityError,
                      TransmonRegimeWarning, UndefinedCorrelationError)
 from .external import ExternalModeRecord, read_external_modes, write_external_modes
-from .hom import (FrequencyGrid, HomCurve, PhotonWavepacket,
-                  balanced_center_frequency, default_grid, hom_curve,
-                  scan_balanced_center, spectral_weights)
+from .hom import (HomCurve, PhotonWavepacket, balanced_center_frequency, hom_curve,
+                  scan_balanced_center)
 from .perturbation import PerturbationResult, perturbed_frequency_tip, tip_point
 from .ports import (PortCoupling, ScatteringResponse, half_power_bandwidth,
                     port_coupling, transfer_functions, two_port_response)

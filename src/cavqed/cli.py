@@ -7,8 +7,8 @@ Subcommands
     CSV table of cavity eigenmodes up to a frequency cap, with bare and
     probe-perturbed frequencies.
 ``hom``
-    Two-photon coincidence curve g2(tau) as CSV plus a JSON sidecar with the
-    underlying resonance, couplings, and packet settings.
+    Two-photon coincidence curve g2(tau), in closed form, as CSV plus a JSON
+    sidecar with the underlying resonance, couplings, and packet settings.
 ``dispersive``
     JSON with qubit frequency, anharmonicity, photon shift chi, and (for two
     qubits) the qubit-qubit shift zeta; supports single-point, position-grid,
@@ -42,8 +42,7 @@ from .config import (apply_overrides, build_dipole, build_geometry, build_probes
 from .errors import (ConfigError, ConvergenceError, DegenerateResponseError,
                      ExternalModesError, OutOfValidityError, UndefinedCorrelationError)
 from .external import read_external_modes, write_external_modes
-from .hom import (PhotonWavepacket, balanced_center_frequency, default_grid,
-                  hom_curve, scan_balanced_center)
+from .hom import PhotonWavepacket, balanced_center_frequency, hom_curve, scan_balanced_center
 from .output import open_output
 from .perturbation import perturbed_frequency_tip
 from .ports import ScatteringResponse, half_power_bandwidth, two_port_response
@@ -198,33 +197,29 @@ def cmd_hom(args) -> int:
     resp, mode_source, label = _hom_response(cfg, geom)
     sigma1 = us_to_s(float(get_setting(cfg, "hom.sigma1_us")))
     sigma2 = us_to_s(float(get_setting(cfg, "hom.sigma2_us")))
-    n_bins = int(get_setting(cfg, "hom.n_bins"))
     n_tau = int(get_setting(cfg, "hom.n_tau"))
     tau_max = us_to_s(float(get_setting(cfg, "hom.tau_max_us")))
     normalization = str(get_setting(cfg, "hom.normalization"))
     center_setting = get_setting(cfg, "hom.center")
+    try:
+        balanced = balanced_center_frequency(resp)
+    except DegenerateResponseError:
+        if center_setting in ("balanced", "scan"):
+            raise
+        balanced = None  # no |R| = |T| point, but an explicit centre has a curve
     if center_setting == "balanced":
-        center = balanced_center_frequency(resp)
+        center = balanced
     elif center_setting == "scan":
         # +-Gamma: +-1 FWHM would reach the mirror point omega0 - Gamma
         center = scan_balanced_center(resp, min(sigma1, sigma2),
                                       half_width=half_power_bandwidth(resp) / 2.0,
-                                      n_scan=41, n_bins=n_bins,
-                                      normalization=normalization)
+                                      n_scan=41, normalization=normalization)
     else:
         center = ghz_to_rad_per_s(float(center_setting))
     pkt1 = PhotonWavepacket(omega_in=center, sigma=sigma1, port=1)
     pkt2 = PhotonWavepacket(omega_in=center, sigma=sigma2, port=2)
-    grid = default_grid(resp, min(sigma1, sigma2), n_bins=n_bins, center=center)
-    # discrete sums repeat in tau with period 2*pi / (grid spacing)
-    alias_period = 2.0 * math.pi * (n_bins - 1) / (grid.omega_max - grid.omega_min)
-    if 2.0 * tau_max >= alias_period:
-        raise ConfigError(
-            f"hom.n_bins = {n_bins} gives an alias period of "
-            f"{alias_period / 1e-6:.4g} us, not above 2 * hom.tau_max_us = "
-            f"{2.0 * tau_max / 1e-6:.4g} us; raise hom.n_bins or lower hom.tau_max_us")
     taus = np.linspace(-tau_max, tau_max, n_tau)
-    curve = hom_curve(resp, pkt1, pkt2, taus, grid, normalization=normalization)
+    curve = hom_curve(resp, pkt1, pkt2, taus, normalization=normalization)
     _write_csv(out, sha, ["tau_s", "g2"],
                ([_fmt(t), _fmt(v)] for t, v in zip(curve.taus, curve.g2_values)))
     _write_json(sidecar, {
@@ -236,15 +231,11 @@ def cmd_hom(args) -> int:
         "g1_sqrt_rad_per_s": resp.g1,
         "g2_sqrt_rad_per_s": resp.g2,
         "bandwidth_fwhm_MHz": half_power_bandwidth(resp) / (2.0 * math.pi * 1e6),
-        "balanced_center_GHz": rad_per_s_to_ghz(balanced_center_frequency(resp)),
+        "balanced_center_GHz": None if balanced is None else rad_per_s_to_ghz(balanced),
         "center_GHz": rad_per_s_to_ghz(center),
         "normalization": normalization,
         "sigma1_us": sigma1 / 1e-6,
         "sigma2_us": sigma2 / 1e-6,
-        "n_bins": n_bins,
-        "alias_period_us": alias_period / 1e-6,
-        "bins_per_inv_sigma": (n_bins - 1) / ((grid.omega_max - grid.omega_min)
-                                              * min(sigma1, sigma2)),
         **_external_modes_hash(cfg),
     })
     finite = [v for v in curve.g2_values if not math.isnan(v)]

@@ -29,7 +29,6 @@ import yaml
 
 from .cavity import CavityGeometry, CoaxProbe, ModeIndex
 from .errors import ConfigError
-from .hom import DEFAULT_N_BINS
 from .transmon import DipoleSpec
 
 SCHEMA_VERSION = 1
@@ -89,7 +88,9 @@ CONFIG_SCHEMA = {
                 },
                 "tau_max_us": {**_POSITIVE, "default": 25.0},
                 "n_tau": {"type": "integer", "minimum": 1, "default": 101},
-                "n_bins": {"type": "integer", "minimum": 2, "default": DEFAULT_N_BINS},
+                # read by nothing since HOM curves are closed-form; kept so that
+                # configs that set it stay valid until schema_version changes
+                "n_bins": {"type": "integer", "minimum": 2, "default": 8192},
                 "normalization": {"enum": ["integrated", "time_local"],
                                   "default": "integrated"},
                 "mode": {"type": "string", "default": "TE101"},

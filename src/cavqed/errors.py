@@ -7,7 +7,8 @@ from __future__ import annotations
 
 
 class DegenerateResponseError(ValueError):
-    """Two-port response with both couplings zero: transfer functions undefined at resonance."""
+    """Two-port response with both couplings zero (transfer functions undefined at
+    resonance), or without the balanced point a run asks for."""
 
 
 class UndefinedCorrelationError(ValueError):
@@ -33,10 +34,6 @@ class ConfigError(ValueError):
 
 class ExternalModesError(ValueError):
     """External mode-record file failed parsing or validation."""
-
-
-class GridCoverageWarning(UserWarning):
-    """A frequency grid does not fully cover a wavepacket's spectral support."""
 
 
 class FieldVariationWarning(UserWarning):

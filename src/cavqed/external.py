@@ -53,6 +53,10 @@ class ExternalModeRecord:
         object.__setattr__(
             self, "e_fields",
             tuple(tuple(float(c) for c in vec) for vec in self.e_fields))
+        for name, values in (("e_fields", [c for vec in self.e_fields for c in vec]),
+                             ("g_port1", (self.g_port1,)), ("g_port2", (self.g_port2,))):
+            if not all(map(math.isfinite, values)):  # the reader refuses them
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def n_sites(self) -> int:

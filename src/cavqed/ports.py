@@ -27,6 +27,7 @@ with Delta = omega - omega0.  It is exactly unitary for real g1, g2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +103,10 @@ def transfer_functions(resp: ScatteringResponse, omega) -> np.ndarray:
     """Scattering matrix [[R1, T12], [T21, R2]] at angular frequency ``omega``.
 
     ``omega`` may be a scalar or array; the result has shape ``omega.shape + (2, 2)``
-    (complex).  Raises :class:`DegenerateResponseError` when g1 = g2 = 0.
+    (complex).  Raises :class:`DegenerateResponseError` when the linewidth
+    vanishes (:func:`_linewidth`).
     """
-    if resp.g1 == 0.0 and resp.g2 == 0.0:
-        raise DegenerateResponseError("both port couplings are zero; response undefined at resonance")
+    _linewidth(resp, "response undefined at resonance")
     omega = np.asarray(omega, dtype=float)
     # Always 1-d: numpy rounds a 0-d complex division differently from its array
     # loop, and a scalar call must equal the same entry of an array call bitwise.
@@ -124,6 +125,16 @@ def transfer_functions(resp: ScatteringResponse, omega) -> np.ndarray:
 
 def half_power_bandwidth(resp: ScatteringResponse) -> float:
     """FWHM of the transmitted power |T12|^2: 2*pi*(g1^2 + g2^2) in rad/s."""
-    if resp.g1 == 0.0 and resp.g2 == 0.0:
-        raise DegenerateResponseError("both port couplings are zero; bandwidth undefined")
-    return 2.0 * math.pi * (resp.g1**2 + resp.g2**2)
+    return 2.0 * _linewidth(resp, "bandwidth undefined")
+
+
+def _linewidth(resp: ScatteringResponse, undefined: str) -> float:
+    """Gamma = pi*(g1^2 + g2^2) in rad/s, half the FWHM.  Raises
+    :class:`DegenerateResponseError` ("both port couplings are zero; " +
+    ``undefined``) when Gamma is below the smallest normal float: for g1 = g2 =
+    0, and for couplings whose squares underflow (1e-155), where 1/Gamma
+    would overflow."""
+    gamma = math.pi * (resp.g1**2 + resp.g2**2)
+    if gamma < sys.float_info.min:
+        raise DegenerateResponseError(f"both port couplings are zero; {undefined}")
+    return gamma

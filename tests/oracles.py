@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check fast closed forms.
 
-The two-photon coincidence pieces are evaluated by explicit enumeration of the
-(output port, frequency bin) mode pairs, O(n_bins^2) in memory and time,
-avoiding the algebraic factorizations of the production code; the closed-form
-sums are also kept in their plain form, over every bin of the grid, and the
-balanced-centre scan evaluates each candidate on its own grid.  Greedy
-labeling visits every (bare state, eigenvector) pair.  The dense dispersive
+The HOM curves of the library are closed forms of frequency integrals; here
+the same integrals are discrete sums over every bin of a uniform frequency
+grid, and the balanced-centre scan evaluates each candidate on its own grid.
+The sums are in turn checked by explicit enumeration of the (output port,
+frequency bin) mode pairs, O(n_bins^2) in memory and time, avoiding the
+algebraic factorizations of the sums.  Greedy labeling visits every (bare
+state, eigenvector) pair.  The dense dispersive
 reference assembles the rotating-wave Hamiltonian on the whole truncated
 product space with Kronecker products and diagonalizes it in one piece; it
 shares no fill code with the sector solver it checks.  The textbook
@@ -22,6 +23,8 @@ over the coax annulus against the Stokes closed form of ``port_coupling``.
 """
 import functools
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import mathieu_a, mathieu_b
@@ -29,8 +32,7 @@ from scipy.special import mathieu_a, mathieu_b
 from cavqed.cavity import eval_fields
 from cavqed.constants import C0, E_CHARGE, EPS0, HBAR
 from cavqed.errors import ConvergenceError
-from cavqed.hom import (PhotonWavepacket, _abc, _ratio, balanced_center_frequency,
-                        default_grid, spectral_weights)
+from cavqed.hom import PhotonWavepacket, _ratio, balanced_center_frequency
 from cavqed.perturbation import _result, _validate_probes
 from cavqed.ports import PortCoupling, transfer_functions
 from cavqed.system import SectorSpectra, _greedy_assign
@@ -48,6 +50,70 @@ DEFAULT_N_PHI = 64
 #: integral over the annulus of eps0*|E_T|^2 dS = 2*eps0/(pi*c0), independent
 #: of the annulus radii (closed-form integral of 1/rho^2 against rho drho dphi).
 COAX_CROSS_SECTION_NORM = 2.0 * EPS0 / (math.pi * C0)
+
+#: Default bins of :func:`default_grid`, the schema default of ``hom.n_bins``;
+#: for the shipped ``hom_default`` packets the alias period is then 41*sigma,
+#: above 2*tau_max.
+DEFAULT_N_BINS = 8192
+
+
+class GridCoverageWarning(UserWarning):
+    """A frequency grid does not fully cover a wavepacket's spectral support."""
+
+
+@dataclass(frozen=True)
+class FrequencyGrid:
+    """Uniform angular-frequency grid discretizing the continuum integrals."""
+
+    omega_min: float
+    omega_max: float
+    n_bins: int
+
+    def __post_init__(self) -> None:
+        if not self.omega_min < self.omega_max:
+            raise ValueError("require omega_min < omega_max")
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
+
+    @property
+    def omegas(self) -> np.ndarray:
+        return np.linspace(self.omega_min, self.omega_max, self.n_bins)
+
+
+def default_grid(resp, sigma: float, n_bins: int = DEFAULT_N_BINS,
+                 center: float | None = None) -> FrequencyGrid:
+    """Grid covering both the photon bandwidth (20/sigma) and the cavity
+    linewidth (40*pi*(g1^2+g2^2)) around ``center`` (default: the resonance).
+
+    Note: discrete sums are exactly periodic in tau with period
+    2*pi/(grid spacing); evaluating at large |tau| (e.g. 10*sigma tails)
+    requires enough bins that the alias period exceeds the largest delay.
+    """
+    half_span = max(20.0 / sigma, 40.0 * math.pi * (resp.g1**2 + resp.g2**2))
+    mid = resp.omega0 if center is None else center
+    return FrequencyGrid(mid - half_span, mid + half_span, n_bins)
+
+
+def spectral_weights(pkt: PhotonWavepacket, grid: FrequencyGrid, t_ref: float = 0.0) -> np.ndarray:
+    """Normalized spectral weights W(omega_m) = exp(-(sigma*(omega_m - omega_in))^2/2)
+    * exp(i*omega_m*t_ref), scaled so sum|W|^2 = 1 (one photon per port).
+
+    Warns with :class:`GridCoverageWarning` when the grid does not cover
+    omega_in +- 6/sigma; raises on zero norm (packet entirely off-grid).
+    """
+    margin = 6.0 / pkt.sigma
+    if grid.omega_min > pkt.omega_in - margin or grid.omega_max < pkt.omega_in + margin:
+        warnings.warn("frequency grid does not cover the wavepacket's +-6/sigma support; "
+                      "spectral truncation will bias the correlation", GridCoverageWarning,
+                      stacklevel=2)
+    om = grid.omegas
+    env = np.exp(-0.5 * (pkt.sigma * (om - pkt.omega_in))**2)
+    norm = math.sqrt(float(env @ env))
+    if norm == 0.0:
+        raise ValueError("wavepacket has zero weight on the grid")
+    if t_ref == 0.0:  # the phase factor is exactly 1+0j
+        return (env / norm).astype(complex)
+    return env / norm * np.exp(1j * om * t_ref)
 
 
 def brute_force_abc(resp, w1, w2, omegas, tau, t0=0.0):
@@ -95,8 +161,9 @@ def _full_grid_delay_sums(omegas, taus, plus, minus):
 
 
 def full_grid_abc(resp, pkt1, pkt2, tau, grid, t0=0.0, normalization="time_local"):
-    """(A, B, C) of :func:`cavqed.hom._abc` summed over every bin of ``grid``,
-    including the bins where both packet weights are exactly zero."""
+    """(A, B, C) of the HOM correlation (g2 = A/(B*C)) as sums over every bin
+    of ``grid``, for detectors at t0 and t0 + tau, for a scalar or an array
+    ``tau``: the discrete form of the integrals of :func:`cavqed.hom_curve`."""
     if normalization not in ("integrated", "time_local"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if pkt1.port != 1 or pkt2.port != 2:
@@ -129,13 +196,13 @@ def full_grid_abc(resp, pkt1, pkt2, tau, grid, t0=0.0, normalization="time_local
 def scan_dips_per_grid(resp, sigma, half_width, n_scan, n_bins, normalization):
     """(candidates, g2(0) at each) of :func:`cavqed.scan_balanced_center`, each
     candidate on its own ``default_grid`` centred on it, with its own pair of
-    packet spectra: one whole one-delay evaluation per candidate."""
+    packet spectra: one whole one-delay grid sum per candidate."""
     center0 = balanced_center_frequency(resp)
     candidates = np.linspace(center0 - half_width, center0 + half_width, n_scan).tolist()
-    dips = [_ratio(*_abc(resp, PhotonWavepacket(center, sigma, port=1),
-                         PhotonWavepacket(center, sigma, port=2), 0.0,
-                         default_grid(resp, sigma, n_bins=n_bins, center=center),
-                         normalization=normalization))
+    dips = [_ratio(*full_grid_abc(resp, PhotonWavepacket(center, sigma, port=1),
+                                  PhotonWavepacket(center, sigma, port=2), 0.0,
+                                  default_grid(resp, sigma, n_bins=n_bins, center=center),
+                                  normalization=normalization))
             for center in candidates]
     return candidates, dips
 
@@ -446,9 +513,11 @@ def port_coupling_quadrature(mode, geom, probe, n_rho=DEFAULT_N_RHO, n_phi=DEFAU
     rho_g, phi_g = np.meshgrid(rhos, phis, indexing="ij")
     y_wall = 0.0 if probe.wall == "bottom" else geom.b
     n_into = 1.0 if probe.wall == "bottom" else -1.0  # inward normal = n_into * y_hat
-    pts = np.stack([probe.x0 + rho_g * np.cos(phi_g),
+    # The footprint rule admits an annulus that touches a side wall, where a
+    # rim node can round one ulp outside the box: clip it back onto the wall.
+    pts = np.stack([np.clip(probe.x0 + rho_g * np.cos(phi_g), 0.0, geom.a),
                     np.full_like(rho_g, y_wall),
-                    probe.z0 + rho_g * np.sin(phi_g)], axis=-1)
+                    np.clip(probe.z0 + rho_g * np.sin(phi_g), 0.0, geom.d)], axis=-1)
     _, H = eval_fields(mode, geom, pts)
     e_tem = coax_tem_profile(probe, rho_g, phi_g)
     # E_TEM x (n_into*y_hat): (cos, 0, sin) x (0, 1, 0) = (-sin, 0, cos) = phi_hat.

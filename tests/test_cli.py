@@ -70,7 +70,6 @@ class TestHom:
         out = tmp_path / "h.csv"
         rc = cli.main(["hom", "--config", HOM, "--out", str(out),
                        "--override", "hom.n_tau=5",
-                       "--override", "hom.n_bins=2048",
                        "--override", "hom.tau_max_us=5.0", *extra])
         assert rc == 0
         sidecar = json.loads(out.with_suffix(".json").read_text())
@@ -86,7 +85,8 @@ class TestHom:
         assert sidecar["mode_label"] == "TE101"
         assert sidecar["normalization"] == "integrated"
         assert sidecar["sigma1_us"] == 2.5
-        assert sidecar["n_bins"] == 2048
+        # the closed form has no frequency grid to describe
+        assert not {"n_bins", "alias_period_us", "bins_per_inv_sigma"} & sidecar.keys()
         npt.assert_allclose(sidecar["f_resonance_GHz"], F_TE101_PERTURBED_GHZ,
                             rtol=1e-12)
         npt.assert_allclose(sidecar["balanced_center_GHz"], 7.553407616250731,
@@ -98,19 +98,6 @@ class TestHom:
         assert sidecar["g1_sqrt_rad_per_s"] != 0.0
         npt.assert_allclose(sidecar["g2_sqrt_rad_per_s"],
                             -sidecar["g1_sqrt_rad_per_s"], rtol=1e-12)
-        # the linewidth sets the default grid's span, 40 FWHM, so the alias
-        # period is 2*pi*(n_bins - 1)/span
-        span = 40 * 2 * math.pi * 1e6 * sidecar["bandwidth_fwhm_MHz"]
-        npt.assert_allclose(sidecar["alias_period_us"], 2 * math.pi * 2047 / span / 1e-6,
-                            rtol=1e-12)
-        assert sidecar["alias_period_us"] > 2 * 5.0
-        npt.assert_allclose(sidecar["bins_per_inv_sigma"],
-                            sidecar["alias_period_us"] / (2 * math.pi * 2.5), rtol=1e-12)
-        # the narrower packet (the larger 1/sigma) sets it; the span is unchanged
-        _, narrower = self.run_quick(tmp_path, "--override", "hom.sigma2_us=1.5")
-        assert narrower["alias_period_us"] == sidecar["alias_period_us"]
-        npt.assert_allclose(narrower["bins_per_inv_sigma"],
-                            sidecar["bins_per_inv_sigma"] * 2.5 / 1.5, rtol=1e-12)
         values = [float(r[1]) for r in rows]
         taus = [float(r[0]) for r in rows]
         assert taus[2] == 0.0
@@ -134,7 +121,6 @@ class TestHom:
         out = tmp_path / "ext_h.csv"
         rc = cli.main(["hom", "--config", HOM, "--out", str(out),
                        "--override", "hom.n_tau=5",
-                       "--override", "hom.n_bins=2048",
                        "--override", "hom.tau_max_us=5.0",
                        "--override", f"external_modes={modes_csv}"])
         assert rc == 0
@@ -147,14 +133,56 @@ class TestHom:
             npt.assert_allclose(float(external_g2), float(internal_g2),
                                 rtol=1e-9)
 
-    def test_alias_period_shorter_than_delay_span(self, tmp_path, capsys):
-        # 256 bins repeat every 3.2 us, inside the +-25 us delay window
-        rc = cli.main(["hom", "--config", HOM, "--out", str(tmp_path / "h.csv"),
-                       "--override", "hom.n_bins=256"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "hom.n_bins" in err and "hom.tau_max_us" in err
-        assert not (tmp_path / "h.csv").exists()
+    def test_bin_count_is_ignored(self, tmp_path):
+        # hom.n_bins stays a valid key that nothing reads: 256 bins (whose grid
+        # sums would repeat every 3.2 us, inside the +-25 us delays) and 16384
+        # give the same outputs; only the hash of the configuration differs.
+        outputs = []
+        for n_bins in (256, 16384):
+            out = tmp_path / f"h{n_bins}.csv"
+            assert cli.main(["hom", "--config", HOM, "--out", str(out),
+                             "--override", f"hom.n_bins={n_bins}"]) == 0
+            sha = json.loads(out.with_suffix(".json").read_text())["config_sha256"]
+            outputs.append(tuple(path.read_bytes().replace(sha.encode(), b"<sha>")
+                                 for path in (out, out.with_suffix(".json"))))
+        assert outputs[0] == outputs[1]
+
+    def test_broad_cavity_needs_no_bin_tuning(self, tmp_path):
+        # sigma*Gamma = 140 (couplings 3x the shipped ones): a 8192-bin grid
+        # would repeat every 11.5 us, inside the +-25 us = +-10 sigma delays
+        g = math.sqrt(140.0 / 2.5e-6 / (2.0 * math.pi))
+        modes_csv = tmp_path / "ext.csv"
+        cq.write_external_modes(str(modes_csv), [cq.ExternalModeRecord(
+            mode_label="TE101", f_GHz=7.55, e_fields=((0.0, 656.0, 0.0),),
+            g_port1=-g, g_port2=g)])
+        out = tmp_path / "h.csv"
+        assert cli.main(["hom", "--config", HOM, "--out", str(out),
+                         "--override", f"external_modes={modes_csv}"]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        npt.assert_allclose(sidecar["bandwidth_fwhm_MHz"] * 2 * math.pi * 1e6 / 2 * 2.5e-6,
+                            140.0, rtol=1e-12)
+        _, _, rows = read_csv(out)
+        values = [float(r[1]) for r in rows]
+        assert abs(values[0] - 0.5) <= 1e-9 and abs(values[-1] - 0.5) <= 1e-9
+        assert values[50] < 1e-4
+
+    def test_explicit_center_without_balanced_point(self, tmp_path, capsys):
+        # |g2/g1| = 0.3 < sqrt(2) - 1: |T| < |R| at every frequency.  An
+        # explicit centre still has a curve; "balanced" and "scan" exit 3.
+        modes_csv = tmp_path / "ext.csv"
+        cq.write_external_modes(str(modes_csv), [cq.ExternalModeRecord(
+            mode_label="TE101", f_GHz=7.55, e_fields=((0.0, 656.0, 0.0),),
+            g_port1=-1000.0, g_port2=300.0)])
+        argv = ["hom", "--config", HOM, "--out", str(tmp_path / "h.csv"),
+                "--override", f"external_modes={modes_csv}"]
+        assert cli.main(argv + ["--override", "hom.center=7.5501"]) == 0
+        sidecar = json.loads((tmp_path / "h.json").read_text())
+        assert sidecar["balanced_center_GHz"] is None
+        assert sidecar["center_GHz"] == 7.5501
+        capsys.readouterr()
+        for center in ("balanced", "scan"):
+            assert cli.main(argv + ["--override", f"hom.center={center}"]) == 3
+            assert "|g2/g1| = 0.3 lies outside" in capsys.readouterr().err
 
     def test_json_out_refused_before_compute(self, tmp_path, capsys, monkeypatch):
         # the sidecar takes --out with suffix .json, so it would replace the CSV
@@ -529,7 +557,7 @@ class TestExternalModesHash:
                                    e_fields=((0.0, 656.0, 0.0),),
                                    g_port1=-994.4, g_port2=994.4)
     ARGV = {"hom": ["hom", "--config", HOM, "--override", "hom.n_tau=5",
-                    "--override", "hom.n_bins=2048", "--override", "hom.tau_max_us=5.0"],
+                    "--override", "hom.tau_max_us=5.0"],
             "dispersive": ["dispersive", "--config", TABLE1, "--override", "dispersive.M=3",
                            "--override", "dispersive.cavity_modes=[TE101]"]}
 
@@ -658,10 +686,14 @@ class TestOutputFiles:
         out = tmp_path / "h.csv"
         argv = ["hom", "--config", HOM, "--out", str(out),
                 "--override", "hom.n_tau=5", "--override", "hom.tau_max_us=5.0"]
-        assert cli.main(argv + ["--override", "hom.n_bins=2048"]) == 0
+        assert cli.main(argv) == 0
         before = out.read_bytes(), out.with_suffix(".json").read_bytes()
-        # 256 bins alias within the +-5 us delays: exit 2 after the response
-        assert cli.main(argv + ["--override", "hom.n_bins=256"]) == 2
+        # couplings with no balanced point: exit 3 after the response
+        modes_csv = tmp_path / "ext.csv"
+        cq.write_external_modes(str(modes_csv), [cq.ExternalModeRecord(
+            mode_label="TE101", f_GHz=7.55, e_fields=((0.0, 656.0, 0.0),),
+            g_port1=-1000.0, g_port2=300.0)])
+        assert cli.main(argv + ["--override", f"external_modes={modes_csv}"]) == 3
         assert (out.read_bytes(), out.with_suffix(".json").read_bytes()) == before
 
 

@@ -37,6 +37,17 @@ class TestRecord:
             with pytest.raises(ValueError):
                 cq.ExternalModeRecord(**{**good, **bad})
 
+    @pytest.mark.parametrize("field, value", [
+        ("e_fields", ((0.0, float("nan"), 0.0),)),
+        ("e_fields", ((0.0, 1.0, 0.0), (float("-inf"), 0.0, 0.0))),
+        ("g_port1", float("nan")), ("g_port1", float("inf")), ("g_port2", float("-inf"))])
+    def test_non_finite_values_refused(self, tmp_path, field, value):
+        # the reader refuses such a file, so the record refuses to be written
+        good = dict(mode_label="TE101", f_GHz=7.5,
+                    e_fields=((0.0, 1.0, 0.0),), g_port1=1.0, g_port2=1.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite, got "):
+            cq.ExternalModeRecord(**{**good, field: value})
+
     @pytest.mark.parametrize("label", ["#TE101", " TE101 ", "TE101\n", "\tTE101"])
     def test_label_lost_by_the_round_trip_refused(self, label):
         # the reader skips a '#' row as a comment and strips its labels

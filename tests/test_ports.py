@@ -35,8 +35,10 @@ def coupling_scale(mode, geom, probe):
     rho, phi = np.meshgrid(np.linspace(probe.r_inner, probe.r_outer, 9),
                            np.linspace(0.0, 2 * math.pi, 16), indexing="ij")
     y_wall = 0.0 if probe.wall == "bottom" else geom.b
-    points = np.stack([probe.x0 + rho * np.cos(phi), np.full_like(rho, y_wall),
-                       probe.z0 + rho * np.sin(phi)], axis=-1)
+    # a rim point of an annulus that touches a side wall can round past it
+    points = np.stack([np.clip(probe.x0 + rho * np.cos(phi), 0.0, geom.a),
+                       np.full_like(rho, y_wall),
+                       np.clip(probe.z0 + rho * np.sin(phi), 0.0, geom.d)], axis=-1)
     h_max = np.linalg.norm(cq.eval_fields(mode, geom, points)[1], axis=-1).max()
     log_ratio = math.log(probe.r_outer / probe.r_inner)
     return C0 * h_max * (probe.r_outer - probe.r_inner) / math.sqrt(C0 * log_ratio)
@@ -233,11 +235,13 @@ class TestTransferFunctions:
         assert grid.tobytes() == batch.tobytes()
 
     def test_degenerate_rejected(self):
-        dead = cq.ScatteringResponse(omega0=1e9, g1=0.0, g2=0.0)
-        with pytest.raises(DegenerateResponseError):
-            cq.transfer_functions(dead, 1e9)
-        with pytest.raises(DegenerateResponseError):
-            cq.half_power_bandwidth(dead)
+        # at 1e-155 the squares underflow to subnormals and 1/Gamma would overflow
+        for g in (0.0, 1e-155):
+            dead = cq.ScatteringResponse(omega0=1e9, g1=g, g2=g)
+            with pytest.raises(DegenerateResponseError, match="both port couplings are zero"):
+                cq.transfer_functions(dead, 1e9)
+            with pytest.raises(DegenerateResponseError, match="both port couplings are zero"):
+                cq.half_power_bandwidth(dead)
 
     def test_single_sided_cavity(self):
         # One dead port: |R| = 1 everywhere (all power returns), no transmission.
